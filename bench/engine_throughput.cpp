@@ -9,12 +9,14 @@
 //     which now dispatches plane rounds to the beepc-compiled kernel
 //     (the label's kernel= component names it, with batch width and
 //     SIMD ISA);
-//   * *Interpreted suites - the interpreted plane gear
-//     (engine::set_compiled_kernel_enabled(false)), so the
-//     compiled/interpreted ratio is read straight off the report;
-//   * *Virtual suites - the packed sweeps with per-node virtual
-//     dispatch (engine::set_fast_path_enabled(false)), i.e. the
-//     pre-fast-path engine;
+//   * *Interpreted suites - the beeping engine's interpreted plane
+//     gear (engine::set_compiled_kernel_enabled(false)), so the
+//     compiled/interpreted ratio is read straight off the report (the
+//     stone-age engine has no interpreted gear: BFW always binds its
+//     compiled kernel there);
+//   * *Virtual suites - the packed gather with the per-node reference
+//     gear (engine::set_fast_path_enabled(false): the machine's rows
+//     replayed node by node, no table; the stone-age census path);
 //   * *Reference suites - the original scalar byte-array step (kept as
 //     engine::step_reference).
 // BM_BfwOnGridCompiledWidth sweeps the kernel batch width (1/2/4/8
@@ -413,11 +415,11 @@ void BM_BfwOnGridXLGiant(benchmark::State& state) {
 }
 BENCHMARK(BM_BfwOnGridXLGiant)->Arg(1024)->Arg(8192);
 
-void run_stoneage_rounds(benchmark::State& state, const graph::graph& g,
-                         bool compiled) {
+void BM_StoneAgeOnGrid(benchmark::State& state) {
+  const auto side = static_cast<std::size_t>(state.range(0));
+  const auto g = graph::make_grid(side, side);
   const core::bfw_stone_automaton automaton(0.5);
   stoneage::engine sim(g, automaton, 1, 42);
-  if (!compiled) sim.set_compiled_kernel_enabled(false);
   for (auto _ : state) {
     sim.step();
     benchmark::DoNotOptimize(sim.leader_count());
@@ -432,20 +434,7 @@ void run_stoneage_rounds(benchmark::State& state, const graph::graph& g,
       " threads=" + std::to_string(sim.parallel_threads()) +
       " tile=" + std::to_string(sim.tile_words()));
 }
-
-void BM_StoneAgeOnGrid(benchmark::State& state) {
-  const auto side = static_cast<std::size_t>(state.range(0));
-  const auto g = graph::make_grid(side, side);
-  run_stoneage_rounds(state, g, /*compiled=*/true);
-}
 BENCHMARK(BM_StoneAgeOnGrid)->Arg(16)->Arg(64);
-
-void BM_StoneAgeOnGridInterpreted(benchmark::State& state) {
-  const auto side = static_cast<std::size_t>(state.range(0));
-  const auto g = graph::make_grid(side, side);
-  run_stoneage_rounds(state, g, /*compiled=*/false);
-}
-BENCHMARK(BM_StoneAgeOnGridInterpreted)->Arg(16)->Arg(64);
 
 void BM_StoneAgeOnGridVirtual(benchmark::State& state) {
   const auto side = static_cast<std::size_t>(state.range(0));

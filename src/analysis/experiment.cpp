@@ -114,7 +114,10 @@ algorithm make_bfw(double p) {
   return {name.str(),
           [p](const graph::topology_view& view, std::uint64_t seed,
               std::uint64_t max_rounds) {
-            return core::run_bfw_election(view, p, seed, max_rounds);
+            core::election_options options;
+            options.max_rounds = max_rounds;
+            return core::run_election(view, core::bfw_machine(p), seed,
+                                      options);
           }};
 }
 
@@ -124,8 +127,11 @@ algorithm make_bfw_known_diameter(std::uint32_t diameter) {
   return {name.str(),
           [diameter](const graph::topology_view& view, std::uint64_t seed,
                      std::uint64_t max_rounds) {
-            const auto machine = core::make_known_diameter_bfw(diameter);
-            return core::run_fsm_election(view, machine, seed, max_rounds);
+            core::election_options options;
+            options.max_rounds = max_rounds;
+            return core::run_election(view,
+                                      core::make_known_diameter_bfw(diameter),
+                                      seed, options);
           }};
 }
 

@@ -68,20 +68,18 @@ engine::engine(graph::topology_view view, protocol& proto, std::uint64_t seed,
   // NUMA placement must be requested before the first chunk is mapped;
   // best-effort (no-op off Linux or when mbind is refused).
   if (config_.numa_interleave) arena_.set_numa_interleave(true);
-  // Bind-time fast-path detection: an FSM protocol whose machine
-  // compiles to a flat table runs rounds without virtual dispatch.
+  // Bind-time fast-path detection: an FSM protocol runs rounds off its
+  // machine's compiled table, without per-node virtual dispatch.
   fsm_ = dynamic_cast<fsm_protocol*>(&proto);
-  if (fsm_ != nullptr) {
-    table_ = fsm_->machine().compile_table();
-  }
+  if (fsm_ != nullptr) table_ = &fsm_->machine().table();
   // Plane-mode eligibility. (The SWAR transpose writes state ids
   // through little-endian byte order; the sparse sweep carries
   // big-endian hosts.) The state cap is 64: six planes cover every
   // bundled machine including Timeout-BFW up to T = 59; larger
   // machines take the sparse sweep.
-  plane_capable_ = table_.has_value() && table_->state_count() <= 64 &&
+  plane_capable_ = table_ != nullptr && table_->state_count() <= 64 &&
                    std::endian::native == std::endian::little;
-  if (config_.pin_plane_mode && (!plane_capable_ || fsm_ == nullptr)) {
+  if (config_.pin_plane_mode && !plane_capable_) {
     throw std::invalid_argument(
         "beeping::engine: pin_plane_mode requires a plane-capable "
         "fsm_protocol machine");
@@ -100,9 +98,9 @@ engine::engine(graph::topology_view view, protocol& proto, std::uint64_t seed,
           "beeping::engine: lazy_rng cannot serve a noise model "
           "(dedicated noise streams stay dense)");
     }
-    if (!table_.has_value()) {
+    if (table_ == nullptr) {
       throw std::invalid_argument(
-          "beeping::engine: lazy_rng requires a compiled machine table");
+          "beeping::engine: lazy_rng requires an fsm_protocol machine");
     }
     // A 4-byte cursor can only replay a stream whose draws are uniform
     // in kind: all fair coins (one bit each) or all raw words.
@@ -170,7 +168,7 @@ engine::engine(graph::topology_view view, protocol& proto, std::uint64_t seed,
   if (config_.pin_plane_mode) {
     plane_pinned_ = true;
     enter_plane_mode_initial();
-    if (fsm_ != nullptr) synced_version_ = fsm_->config_version();
+    synced_version_ = fsm_->config_version();
   } else {
     refresh_round_state();
   }
@@ -182,7 +180,7 @@ engine::~engine() {
   // engines abandon instead - the O(n) unpack is exactly what the
   // mode exists to avoid, and the run's result was read off the
   // planes already.
-  if (fsm_ != nullptr && plane_capable_) {
+  if (plane_capable_) {
     if (plane_pinned_) {
       fsm_->abandon_lazy_source(this);
     } else {
@@ -284,9 +282,10 @@ void engine::refresh_round_state() {
   leader_count_ = 0;
   std::fill(beep_words_.begin(), beep_words_.end(), 0);
   beep_flags_valid_ = false;  // byte mirror rebuilt lazily on demand
-  if (fast_path_active()) {
-    // Table-driven refresh: same sweep, zero virtual calls; also
-    // rebuilds the active set the fused round sweep relies on.
+  if (fsm_ != nullptr) {
+    // Table-driven refresh (states are fresh, see above): zero virtual
+    // calls; also rebuilds the active set the fused round sweep relies
+    // on, in every gear, so the fast path can resume at any round.
     const machine_table& table = *table_;
     const std::span<state_id> states = fsm_->raw_states();
     std::fill(active_words_.begin(), active_words_.end(), 0);
@@ -298,20 +297,6 @@ void engine::refresh_round_state() {
       }
       leader_count_ += table.leader_flag[s];
       if (table.bot_identity[s] == 0) set_bit(active_words_, u);
-    }
-  } else if (fsm_ != nullptr) {
-    // Virtual gear on an FSM protocol (fast path disabled or the
-    // machine did not compile): states are fresh (see above), so read
-    // the flags through the machine directly instead of paying the
-    // per-call guard in fsm_protocol::beeping/is_leader.
-    const state_machine& machine = fsm_->machine();
-    const state_id* const states = fsm_->raw_states().data();
-    for (graph::node_id u = 0; u < n; ++u) {
-      if (machine.beeps(states[u])) {
-        ++beep_counts_[u];
-        set_bit(beep_words_, u);
-      }
-      if (machine.is_leader(states[u])) ++leader_count_;
     }
   } else {
     for (graph::node_id u = 0; u < n; ++u) {
@@ -325,24 +310,9 @@ void engine::refresh_round_state() {
   if (fsm_ != nullptr) synced_version_ = fsm_->config_version();
 }
 
-void engine::rebuild_active_set() {
-  const std::size_t n = n_;
-  const machine_table& table = *table_;
-  const std::span<state_id> states = fsm_->raw_states();
-  std::fill(active_words_.begin(), active_words_.end(), 0);
-  for (graph::node_id u = 0; u < n; ++u) {
-    if (table.bot_identity[states[u]] == 0) set_bit(active_words_, u);
-  }
-}
-
+// Re-enabling needs no catch-up: reference rounds refresh the active
+// set too (refresh_round_state), so it is valid whenever a round ends.
 void engine::set_fast_path_enabled(bool enabled) {
-  if (enabled && !fast_enabled_ && table_.has_value()) {
-    // States may have moved under the virtual path while the active
-    // set was not maintained; rebuild it before fast rounds resume.
-    fast_enabled_ = true;
-    rebuild_active_set();
-    return;
-  }
   if (!enabled && plane_pinned_) {
     throw std::logic_error(
         "beeping::engine: the virtual gear is unavailable under "
@@ -612,10 +582,10 @@ void engine::resync_with_protocol() {
 // ---- fault-injection surface ---------------------------------------
 
 void engine::require_fault_capable() const {
-  if (fsm_ == nullptr || !table_.has_value()) {
+  if (fsm_ == nullptr) {
     throw std::logic_error(
-        "beeping::engine: fault injection requires a compiled "
-        "fsm_protocol machine");
+        "beeping::engine: fault injection requires an fsm_protocol "
+        "machine");
   }
   if (plane_pinned_) {
     throw std::logic_error(
@@ -973,10 +943,11 @@ void engine::notify_round_observers() {
 void engine::finish_step() {
   const std::size_t n = n_;
   if (fsm_ != nullptr) {
-    // Guard-free virtual gear: fsm_protocol::step re-checks the
+    // Guard-free reference gear: fsm_protocol::step re-checks the
     // lazy-state guard on every call (~10-15% of a reference round);
     // one freshness check up front buys the whole sweep, which then
-    // runs the same per-node virtual delta calls on the raw vector.
+    // replays the machine's own silent/heard rows per node on the raw
+    // vector (not the interleaved table the fast gears run).
     fsm_->ensure_states_fresh();
     const state_machine& machine = fsm_->machine();
     state_id* const states = fsm_->raw_states().data();
@@ -1720,7 +1691,7 @@ void engine::adopt_plane_state(std::uint64_t round, std::size_t leaders,
   leader_count_ = leaders;
   pending_rounds_ = pending_rounds;
   beep_flags_valid_ = false;
-  if (fsm_ != nullptr) fsm_->mark_states_stale();
+  fsm_->mark_states_stale();
 }
 
 }  // namespace beepkit::beeping

@@ -17,8 +17,8 @@
 // topology-tagged path/ring/grid/torus graphs, a word-CSR push
 // (premasked neighbor words per beeper) on general sparse rounds, and
 // a packed-row pull on dense beep sets, with the original single-bit
-// push/pull kept as forceable reference kernels. Every kernel computes
-// the same set, so the choice never affects results;
+// pull as the fallback and forceable reference kernel. Every kernel
+// computes the same set, so the choice never affects results;
 // `step_reference()` keeps the original scalar byte-array path alive
 // for differential tests and benchmarks, and `set_gather_kernel` pins
 // one kernel for debugging.
@@ -28,15 +28,14 @@
 // the O(n) byte refresh when an observer is attached or beep_flags()
 // is actually called.
 //
-// FSM fast path: when the bound protocol is an fsm_protocol whose
-// machine compiles to a flat table (state_machine::compile_table), the
-// engine runs phase 2 directly over the raw state vector with zero
-// virtual dispatch, fusing the transitions with the next round's
-// beep/leader refresh in one sweep. The sweep only visits nodes that
-// heard a beep or whose delta_bot row is not a draw-free self-loop
-// (tracked in a packed "active" set), so a quiet round on a sparse
-// graph costs O(n/64) + O(active) instead of three virtual calls per
-// node.
+// FSM fast path: when the bound protocol is an fsm_protocol, the
+// engine runs phase 2 directly over the raw state vector off the
+// machine's compiled table (state_machine::table), fusing the
+// transitions with the next round's beep/leader refresh in one sweep.
+// The sweep only visits nodes that heard a beep or whose delta_bot row
+// is not a draw-free self-loop (tracked in a packed "active" set), so a
+// quiet round on a sparse graph costs O(n/64) + O(active) instead of a
+// rule lookup per node.
 //
 // For machines with at most 64 states the fast path has a second gear:
 // when wave traffic makes the visited set dense (most rounds on paths
@@ -62,9 +61,10 @@
 // are visited per node, in ascending node order, so the generator
 // sequence is untouched. The engine switches between the sparse sweep
 // and the plane sweep per round with hysteresis; both are bit-identical
-// to the virtual path - same states, same beep counts, same generator
-// draws - and set_fast_path_enabled(false) forces the virtual
-// reference for differential testing.
+// to the reference gear - same states, same beep counts, same generator
+// draws - and set_fast_path_enabled(false) forces that reference (the
+// machine's own silent/heard rows, applied per node) for differential
+// testing.
 //
 // Observer ledger: plane rounds bank per-node beep increments in
 // bit-sliced vertical counters (a ripple-carry add per beeping word)
@@ -91,7 +91,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -146,8 +145,8 @@ struct noise_model {
 /// giant run cannot afford (and never reads).
 struct engine_config {
   /// Per-node generators as 4-byte lazy draw cursors (rng_store) in
-  /// place of the materialized 56-byte-per-node array. Requires a
-  /// compiled table whose draw rules are uniform in kind (all
+  /// place of the materialized 56-byte-per-node array. Requires an
+  /// fsm_protocol machine whose draw rules are uniform in kind (all
   /// fair-coin or all bernoulli), no noise model, and serial rounds.
   bool lazy_rng = false;
   /// When false, skip the O(n) beep-count ledger behind the observer
@@ -243,7 +242,7 @@ class engine : private fsm_protocol::lazy_source {
 
   // --- fault-injection surface (core/faults drives this) -----------
   //
-  // All fault entry points require a compiled fsm_protocol machine and
+  // All fault entry points require an fsm_protocol machine and
   // are unavailable under engine_config::pin_plane_mode (std::logic_
   // error otherwise - faults keep per-node frozen snapshots the giant
   // path refuses to materialize). The crash model is crash-stop with
@@ -377,15 +376,15 @@ class engine : private fsm_protocol::lazy_source {
   /// Per-node generator access (tests use this to couple runs).
   [[nodiscard]] support::rng& node_rng(graph::node_id u) { return rngs_[u]; }
 
-  /// Forces the generic virtual-dispatch path (`enabled == false`) or
-  /// re-enables the table-driven FSM fast path. Toggling never changes
-  /// any number - both paths are bit-identical - only the speed.
+  /// Forces the reference gear (`enabled == false`: per-node rule
+  /// replay, or per-node virtual protocol calls for non-FSM protocols)
+  /// or re-enables the table-driven FSM fast path. Toggling never
+  /// changes any number - both paths are bit-identical - only the speed.
   void set_fast_path_enabled(bool enabled);
   /// True iff rounds currently run through the compiled table: the
-  /// protocol is an fsm_protocol, its machine compiled, and the path
-  /// has not been disabled.
+  /// protocol is an fsm_protocol and the path has not been disabled.
   [[nodiscard]] bool fast_path_active() const noexcept {
-    return fast_enabled_ && table_.has_value();
+    return fast_enabled_ && table_ != nullptr;
   }
 
   /// Pins one heard-gather kernel (graph::gather_kernel::auto_select
@@ -433,7 +432,7 @@ class engine : private fsm_protocol::lazy_source {
   void distribute_plane_pages();
 
   /// True iff the machine is eligible for the word-parallel plane gear
-  /// (compiled table, <= 64 states, little-endian host).
+  /// (fsm_protocol machine, <= 64 states, little-endian host).
   [[nodiscard]] bool plane_capable() const noexcept { return plane_capable_; }
   /// Rounds executed by the plane gear so far (introspection for tests
   /// and benchmarks; e.g. Timeout-BFW with T > 3 must report all but
@@ -559,7 +558,6 @@ class engine : private fsm_protocol::lazy_source {
     }
     return count;
   }
-  void rebuild_active_set();
   void notify_round_observers();
   void check_in_sync() const;
   // --- fault-surface internals -------------------------------------
@@ -614,10 +612,11 @@ class engine : private fsm_protocol::lazy_source {
   std::size_t n_ = 0;
   protocol* proto_;
   engine_config config_;
-  // Non-null iff the bound protocol is an fsm_protocol; paired with the
-  // compiled table this enables the devirtualized round sweep.
+  // Non-null iff the bound protocol is an fsm_protocol; table_ then
+  // points at its machine's compiled table (the machine outlives the
+  // protocol, which outlives the engine).
   fsm_protocol* fsm_ = nullptr;
-  std::optional<machine_table> table_;
+  const machine_table* table_ = nullptr;
   bool fast_enabled_ = true;
   std::uint64_t synced_version_ = 0;  // fsm_->config_version() last synced
   // Owns every packed word array below (planes, ledgers, beep/heard/

@@ -6,87 +6,6 @@
 
 namespace beepkit::beeping {
 
-namespace {
-
-void check_successor(const state_machine& machine, state_id successor,
-                     const char* what) {
-  if (successor >= machine.state_count()) {
-    throw std::invalid_argument(std::string("build_machine_table: ") + what +
-                                " successor out of range for " +
-                                machine.name());
-  }
-}
-
-void check_rule(const state_machine& machine, const transition_rule& rule,
-                const char* row) {
-  if (rule.draw == transition_rule::draw_kind::none) {
-    check_successor(machine, rule.next, row);
-  } else {
-    check_successor(machine, rule.on_true, row);
-    check_successor(machine, rule.on_false, row);
-  }
-  if (rule.draw == transition_rule::draw_kind::bernoulli &&
-      !(rule.p >= 0.0 && rule.p <= 1.0)) {
-    throw std::invalid_argument(
-        "build_machine_table: bernoulli parameter outside [0, 1] for " +
-        machine.name());
-  }
-}
-
-}  // namespace
-
-machine_table build_machine_table(const state_machine& machine,
-                                  std::span<const transition_rule> bot,
-                                  std::span<const transition_rule> top) {
-  const std::size_t n = machine.state_count();
-  if (bot.size() != n || top.size() != n) {
-    throw std::invalid_argument(
-        "build_machine_table: row count != state_count for " + machine.name());
-  }
-  machine_table table;
-  table.rules.resize(2 * n);
-  table.beep_flag.resize(n);
-  table.leader_flag.resize(n);
-  table.bot_identity.resize(n);
-  table.meta.resize(n);
-  // Scratch generator for probing deterministic rows; by definition a
-  // deterministic delta never draws from it.
-  support::rng probe(0x7ab1e5ULL);
-  for (std::size_t s = 0; s < n; ++s) {
-    const auto state = static_cast<state_id>(s);
-    check_rule(machine, bot[s], "delta_bot");
-    check_rule(machine, top[s], "delta_top");
-    // Deterministic rows can be verified against the virtual deltas
-    // outright; stochastic rows are pinned by the differential tests.
-    if (bot[s].draw == transition_rule::draw_kind::none &&
-        machine.delta_bot(state, probe) != bot[s].next) {
-      throw std::invalid_argument(
-          "build_machine_table: delta_bot row disagrees with machine " +
-          machine.name() + " in state " + machine.state_name(state));
-    }
-    if (top[s].draw == transition_rule::draw_kind::none &&
-        machine.delta_top(state, probe) != top[s].next) {
-      throw std::invalid_argument(
-          "build_machine_table: delta_top row disagrees with machine " +
-          machine.name() + " in state " + machine.state_name(state));
-    }
-    table.rules[2 * s] = bot[s];
-    table.rules[2 * s + 1] = top[s];
-    table.beep_flag[s] = machine.beeps(state) ? 1 : 0;
-    table.leader_flag[s] = machine.is_leader(state) ? 1 : 0;
-    table.bot_identity[s] =
-        (bot[s].draw == transition_rule::draw_kind::none &&
-         bot[s].next == state)
-            ? 1
-            : 0;
-    table.meta[s] = static_cast<std::uint8_t>(
-        (table.beep_flag[s] != 0 ? machine_table::meta_beep : 0) |
-        (table.leader_flag[s] != 0 ? machine_table::meta_leader : 0) |
-        (table.bot_identity[s] != 0 ? machine_table::meta_bot_identity : 0));
-  }
-  return table;
-}
-
 void fsm_protocol::materialize_cold() const {
   states_stale_ = false;
   // A deferred reset leaves the vector empty; grow it on the first

@@ -10,15 +10,15 @@
 //
 //  * `state_machine` - the paper's formal object
 //    M = (Q_listen, Q_beep, q_s, delta_bot, delta_top): a probabilistic
-//    finite-state machine, anonymous and uniform. BFW (src/core/bfw.hpp)
-//    is one of these.
+//    finite-state machine, anonymous and uniform, held as transition
+//    rows plus their compiled table. BFW (src/core/bfw.hpp) is one of
+//    these.
 //  * `protocol` - a generic per-node behaviour interface, which also
 //    accommodates the unbounded-state baselines of Table 1 (unique IDs,
 //    phase counters). `fsm_protocol` adapts any state_machine to it.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -30,10 +30,10 @@ namespace beepkit::beeping {
 
 using state_id = std::uint16_t;
 
-/// One compiled transition row of a state_machine: the successor choice
-/// *and* the exact generator draw the delta function performs, so a
+/// One transition row of a state_machine: the successor choice *and*
+/// the exact generator draw the delta function performs, so a
 /// table-driven round consumes the same random values, draw for draw,
-/// as calling the virtual delta_top/delta_bot.
+/// as the reference gear's per-node delta_top/delta_bot calls.
 struct transition_rule {
   enum class draw_kind : std::uint8_t {
     none,       ///< deterministic: the delta never touches the generator
@@ -72,7 +72,7 @@ struct transition_rule {
   }
 };
 
-/// Applies one compiled rule, reproducing the delta's draws exactly.
+/// Applies one rule, performing exactly the draw its kind names.
 [[nodiscard]] inline state_id apply_rule(const transition_rule& rule,
                                          support::rng& rng) {
   switch (rule.draw) {
@@ -89,7 +89,8 @@ struct transition_rule {
 /// Flat compiled form of a state_machine M = (Q_listen, Q_beep, q_s,
 /// delta_bot, delta_top): per-state beep/leader membership bytes plus
 /// the two transition rows, laid out so one round over the raw state
-/// vector needs zero virtual dispatch. Built via build_machine_table.
+/// vector needs one indexed load per node. Built by
+/// core::compile_spec_table.
 struct machine_table {
   /// rules[(s << 1) | heard]: delta_bot row at even slots, delta_top at
   /// odd - one indexed load per node per round.
@@ -123,52 +124,66 @@ struct machine_table {
   }
 };
 
-class state_machine;
-
-/// Assembles a machine_table from per-state bot/top rows, filling the
-/// beep/leader/bot-identity bytes from the machine's own predicates.
-/// Validates row sizes, successor ranges, and that every deterministic
-/// row agrees with the corresponding virtual delta (probed once).
-/// Throws std::invalid_argument on any mismatch.
-[[nodiscard]] machine_table build_machine_table(
-    const state_machine& machine, std::span<const transition_rule> bot,
-    std::span<const transition_rule> top);
-
 /// The paper's probabilistic finite-state machine
-/// M = (Q_listen, Q_beep, q_s, delta_bot, delta_top). Implementations
-/// must be stateless (all per-node state lives in the state id), which
-/// is exactly the anonymity/uniformity restriction of the paper.
+/// M = (Q_listen, Q_beep, q_s, delta_bot, delta_top), in the one form
+/// every engine runs: the per-state silent (delta_bot) and heard
+/// (delta_top) rows as data, plus their flat machine_table, compiled
+/// once at construction. All per-node state lives in the state id,
+/// which is exactly the anonymity/uniformity restriction of the paper.
+/// core::spec_machine builds one from a protocol_spec.
 class state_machine {
  public:
-  virtual ~state_machine() = default;
+  /// `table` must be the compiled form of `silent`/`heard` (see
+  /// core::compile_spec_table); the rows are kept separately so the
+  /// reference gear replays them independently of the table layout.
+  state_machine(std::string name, std::vector<std::string> state_names,
+                state_id initial, std::vector<transition_rule> silent,
+                std::vector<transition_rule> heard, machine_table table)
+      : name_(std::move(name)),
+        state_names_(std::move(state_names)),
+        initial_(initial),
+        silent_(std::move(silent)),
+        heard_(std::move(heard)),
+        table_(std::move(table)) {}
 
-  [[nodiscard]] virtual std::size_t state_count() const = 0;
+  [[nodiscard]] std::size_t state_count() const noexcept {
+    return state_names_.size();
+  }
   /// q_s; every node starts here (anonymous protocols cannot
   /// distinguish nodes at start-up).
-  [[nodiscard]] virtual state_id initial_state() const = 0;
+  [[nodiscard]] state_id initial_state() const noexcept { return initial_; }
   /// True iff the state belongs to Q_beep.
-  [[nodiscard]] virtual bool beeps(state_id state) const = 0;
+  [[nodiscard]] bool beeps(state_id state) const noexcept {
+    return table_.beeps(state);
+  }
   /// True iff the state belongs to the leader set L of Definition 1.
-  [[nodiscard]] virtual bool is_leader(state_id state) const = 0;
+  [[nodiscard]] bool is_leader(state_id state) const noexcept {
+    return table_.is_leader(state);
+  }
   /// delta_top: applied when the node beeped or heard a beep.
-  [[nodiscard]] virtual state_id delta_top(state_id state,
-                                           support::rng& rng) const = 0;
+  [[nodiscard]] state_id delta_top(state_id state, support::rng& rng) const {
+    return apply_rule(heard_[state], rng);
+  }
   /// delta_bot: applied when the node and its whole neighborhood were
   /// silent.
-  [[nodiscard]] virtual state_id delta_bot(state_id state,
-                                           support::rng& rng) const = 0;
-  [[nodiscard]] virtual std::string state_name(state_id state) const = 0;
-  [[nodiscard]] virtual std::string name() const = 0;
-
-  /// Table-compilation hook for the engine's devirtualized fast path:
-  /// machines whose deltas fit the transition_rule draw kinds return
-  /// their compiled form (see build_machine_table); the default opts
-  /// out, keeping the generic virtual path. The table must be
-  /// draw-for-draw faithful - the engine's fast rounds are required to
-  /// be bit-identical to the virtual dispatch path.
-  [[nodiscard]] virtual std::optional<machine_table> compile_table() const {
-    return std::nullopt;
+  [[nodiscard]] state_id delta_bot(state_id state, support::rng& rng) const {
+    return apply_rule(silent_[state], rng);
   }
+  /// The state's label; "?" for an out-of-range id.
+  [[nodiscard]] std::string state_name(state_id state) const {
+    return state < state_names_.size() ? state_names_[state] : "?";
+  }
+  [[nodiscard]] const std::string& name() const noexcept { return name_; }
+  /// The compiled form the engines' fast gears run.
+  [[nodiscard]] const machine_table& table() const noexcept { return table_; }
+
+ private:
+  std::string name_;
+  std::vector<std::string> state_names_;
+  state_id initial_ = 0;
+  std::vector<transition_rule> silent_;
+  std::vector<transition_rule> heard_;
+  machine_table table_;
 };
 
 /// Generic per-node protocol behaviour driven by `engine`. One protocol

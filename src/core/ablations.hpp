@@ -11,7 +11,7 @@
 // demonstrate exactly this failure.
 //
 // The transition structure lives in `bw_spec` (core/protocol_spec.hpp);
-// this class interprets it through `spec_machine` - the ablation must
+// this class builds it through `spec_machine` - the ablation must
 // fail at full speed too, so the spec compiles to the same fast-path
 // table shape as BFW's.
 #pragma once

@@ -18,7 +18,7 @@
 // of Section 1.3 is measurable.
 //
 // The transition structure lives in `bfw_spec` (core/protocol_spec.hpp);
-// this class is the spec interpreted through `spec_machine`, kept as a
+// this class is the spec built through `spec_machine`, kept as a
 // named type for its enum, accessors and call sites.
 #pragma once
 
@@ -63,7 +63,7 @@ inline constexpr std::size_t bfw_state_count = 6;
 /// constant in (0, 1) independent of the network (Theorem 2 uses any
 /// such constant; Theorem 3 instantiates p = 1/(D+1), which is
 /// non-uniform but uses the identical machine). The machine is
-/// spec-driven: construction builds `bfw_spec(p)` and interprets it,
+/// spec-driven: construction builds `bfw_spec(p)` and compiles it,
 /// so delta_bot(W•) draws the Figure-1 coin exactly as documented
 /// there (rng::coin() when p = 1/2, rng::bernoulli(p) otherwise).
 class bfw_machine final : public spec_machine {

@@ -77,10 +77,10 @@ struct election_options {
   std::uint32_t diameter = 0;
   engine_exec exec;              ///< tiled-parallelism knobs
   beeping::noise_model noise;    ///< reception noise (off by default)
-  bool fast_path = true;         ///< false = force the virtual gear
+  bool fast_path = true;         ///< false = force the reference gear
   bool compiled_kernel = true;   ///< false = force the interpreted sweep
   /// Kernel batch width override (1/2/4/8); 0 keeps the engine default
-  /// (support::simd::preferred_width()).
+  /// (support::simd::autotuned_width()).
   std::size_t compiled_width = 0;
   /// Explicit initial configuration (Section-5 experiments); empty =
   /// the machine's initial state everywhere. Must hold valid state ids.
@@ -111,29 +111,6 @@ struct election_options {
 [[nodiscard]] election_outcome run_election(
     const graph::topology_view& view, const protocol_spec& spec,
     std::uint64_t seed, const election_options& options = {});
-
-// ---- legacy entry points ---------------------------------------------
-// Thin shims over run_election, kept so no caller breaks; new code
-// should pass election_options directly.
-
-/// Runs BFW with parameter `p` from the all-W• initial configuration.
-[[nodiscard]] election_outcome run_bfw_election(
-    const graph::topology_view& view, double p, std::uint64_t seed,
-    std::uint64_t max_rounds, const engine_exec& exec = {});
-
-/// Runs any state machine through the beeping engine.
-[[nodiscard]] election_outcome run_fsm_election(
-    const graph::topology_view& view, const beeping::state_machine& machine,
-    std::uint64_t seed, std::uint64_t max_rounds,
-    const engine_exec& exec = {});
-
-/// Runs BFW from an explicit initial configuration (used by the
-/// Section-5 experiments: two leaders at path ends, adversarial
-/// states, ...). `initial` must hold valid BFW state ids.
-[[nodiscard]] election_outcome run_bfw_election_from(
-    const graph::topology_view& view, double p,
-    std::vector<beeping::state_id> initial, std::uint64_t seed,
-    std::uint64_t max_rounds, const engine_exec& exec = {});
 
 /// Convergence rounds over `trials` independent seeds (derived from
 /// `seed`); non-converged trials are recorded as `max_rounds`.

@@ -269,34 +269,25 @@ protocol_spec protocol_spec::from_json_text(std::string_view text) {
 
 // ---- spec_machine ----------------------------------------------------
 
-spec_machine::spec_machine(protocol_spec spec) : spec_(std::move(spec)) {
-  spec_.validate();
-}
+namespace {
 
-beeping::state_id spec_machine::delta_top(beeping::state_id state,
-                                          support::rng& rng) const {
-  if (state >= spec_.states.size()) {
-    throw std::invalid_argument("spec_machine::delta_top: invalid state");
+std::vector<std::string> state_names(const protocol_spec& spec) {
+  std::vector<std::string> names;
+  names.reserve(spec.states.size());
+  for (const protocol_spec::state_def& s : spec.states) {
+    names.push_back(s.name);
   }
-  return beeping::apply_rule(spec_.heard[state], rng);
+  return names;
 }
 
-beeping::state_id spec_machine::delta_bot(beeping::state_id state,
-                                          support::rng& rng) const {
-  if (state >= spec_.states.size()) {
-    throw std::invalid_argument("spec_machine::delta_bot: invalid state");
-  }
-  return beeping::apply_rule(spec_.silent[state], rng);
-}
+}  // namespace
 
-std::string spec_machine::state_name(beeping::state_id state) const {
-  if (state >= spec_.states.size()) return "?";
-  return spec_.states[state].name;
-}
-
-std::optional<beeping::machine_table> spec_machine::compile_table() const {
-  return compile_spec_table(spec_);
-}
+// compile_spec_table validates before the base is built from the spec.
+spec_machine::spec_machine(protocol_spec spec)
+    : beeping::state_machine(spec.name, state_names(spec), spec.initial,
+                             spec.silent, spec.heard,
+                             compile_spec_table(spec)),
+      spec_(std::move(spec)) {}
 
 std::unique_ptr<spec_machine> make_protocol(protocol_spec spec) {
   return std::make_unique<spec_machine>(std::move(spec));

@@ -3,18 +3,19 @@
 //
 // A `protocol_spec` lists the states (with their beep/leader flags) and
 // the two transition rows per state as data; `make_protocol` turns a
-// spec into a runnable state_machine, so a protocol defined only as a
-// JSON document runs end-to-end through the interpreted engine with no
-// recompilation. The bundled machines (bfw_machine, timeout_bfw_machine,
-// bw_machine) are thin wrappers over the spec factories below - the
-// spec is the single source of truth for their transition structure.
+// spec into a runnable state_machine (rows plus compiled table), so a
+// protocol defined only as a JSON document runs end-to-end through the
+// engine with no recompilation. The bundled machines (bfw_machine,
+// timeout_bfw_machine, bw_machine) are thin wrappers over the spec
+// factories below - the spec is the single source of truth for their
+// transition structure.
 //
 // The same spec feeds `tools/beepc`, the ahead-of-time protocol
 // compiler: beepc consumes a spec (JSON or the in-code builder) and
 // emits a specialized SIMD round kernel with the transition masks baked
 // in as constexpr (src/beeping/compiled_sweep.hpp), which registers
 // itself in the kernel registry and dispatches at engine bind time next
-// to the interpreted gear.
+// to the engine's interpreted plane sweep.
 //
 // JSON schema (see README "Protocol specs"):
 //   {
@@ -54,8 +55,8 @@ struct protocol_spec {
   std::vector<state_def> states;
   /// Per-state transition rows, indexed by state id: silent[s] is
   /// delta_bot, heard[s] is delta_top. The transition_rule draw kinds
-  /// encode exactly which generator draw the row performs, so an
-  /// interpreted run of the spec is draw-for-draw reproducible.
+  /// encode exactly which generator draw the row performs, so every
+  /// gear running the spec is draw-for-draw reproducible.
   std::vector<beeping::transition_rule> silent;
   std::vector<beeping::transition_rule> heard;
   beeping::state_id initial = 0;
@@ -95,40 +96,20 @@ struct protocol_spec {
   [[nodiscard]] static protocol_spec from_json_text(std::string_view text);
 };
 
-/// Compiles a validated spec into the engine's flat table form.
+/// Validates a spec and compiles it into the engines' flat table form:
+/// rule(s, false) is silent[s], rule(s, true) is heard[s], and the
+/// beep/leader/bot-identity bytes follow the state flags.
 [[nodiscard]] beeping::machine_table compile_spec_table(
     const protocol_spec& spec);
 
-/// A spec interpreted as the paper's probabilistic state machine: the
-/// generic state_machine implementation behind make_protocol. Stateless
-/// per the anonymity restriction; delta_top/delta_bot replay the spec's
-/// rules (beeping::apply_rule), so the draws match the compiled table
-/// exactly and the engine's fast path engages via compile_table().
+/// A spec as the paper's probabilistic state machine: the one builder
+/// of beeping::state_machine, behind make_protocol and the bundled
+/// machine wrappers. The machine's rows are the spec's rows and its
+/// table is compile_spec_table(spec).
 class spec_machine : public beeping::state_machine {
  public:
   /// Validates; throws std::invalid_argument on a malformed spec.
   explicit spec_machine(protocol_spec spec);
-
-  [[nodiscard]] std::size_t state_count() const override {
-    return spec_.states.size();
-  }
-  [[nodiscard]] beeping::state_id initial_state() const override {
-    return spec_.initial;
-  }
-  [[nodiscard]] bool beeps(beeping::state_id state) const override {
-    return spec_.states[state].beep;
-  }
-  [[nodiscard]] bool is_leader(beeping::state_id state) const override {
-    return spec_.states[state].leader;
-  }
-  [[nodiscard]] beeping::state_id delta_top(beeping::state_id state,
-                                            support::rng& rng) const override;
-  [[nodiscard]] beeping::state_id delta_bot(beeping::state_id state,
-                                            support::rng& rng) const override;
-  [[nodiscard]] std::string state_name(beeping::state_id state) const override;
-  [[nodiscard]] std::string name() const override { return spec_.name; }
-  [[nodiscard]] std::optional<beeping::machine_table> compile_table()
-      const override;
 
   [[nodiscard]] const protocol_spec& spec() const noexcept { return spec_; }
 

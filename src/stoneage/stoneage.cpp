@@ -1,8 +1,6 @@
 #include "stoneage/stoneage.hpp"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <stdexcept>
 
 #include "graph/patch.hpp"
@@ -31,10 +29,12 @@ engine::engine(graph::topology_view view, const automaton& machine,
   states_.assign(n, machine.initial_state());
   next_states_.assign(n, machine.initial_state());
   census_.assign(machine.alphabet_size(), 0);
-  // Fast-path bind: an automaton that is a beeping machine in disguise
-  // runs its compiled table. The hook contract (two symbols, matching
-  // display/leader predicates) is verified here; any violation is a
-  // bug in the automaton, not a reason to fall back silently.
+  // Fast-path bind: an automaton that is a beeping machine in disguise,
+  // and whose table matches a registered beepc kernel, runs that
+  // kernel's display sweep; any other automaton keeps the generic
+  // census path. The hook contract (two symbols, matching display/
+  // leader predicates) is verified here; any violation is a bug in the
+  // automaton, not a reason to fall back silently.
   if (const beeping::state_machine* bm = machine.beep_machine();
       bm != nullptr) {
     if (machine.alphabet_size() != 2 ||
@@ -43,15 +43,11 @@ engine::engine(graph::topology_view view, const automaton& machine,
           "stoneage::engine: beep_machine() automaton must have alphabet "
           "{silent, beep} and matching state count");
     }
-    table_ = bm->compile_table();
-    if (table_.has_value() && table_->state_count() > 64) {
-      // The bit-sliced plane round covers 64 states (6 planes); a
-      // larger machine simply keeps the generic census path - the
-      // same graceful degradation the beeping engine applies via its
-      // plane_capable_ gate.
-      table_.reset();
-    }
-    if (table_.has_value()) {
+    // Registered kernels cover at most 64 states (6 planes), so a
+    // larger machine never matches and keeps the census path.
+    compiled_kernel_ = beeping::find_compiled_kernel(bm->table());
+    if (compiled_kernel_ != nullptr) {
+      table_ = &bm->table();
       for (std::size_t s = 0; s < machine.state_count(); ++s) {
         const auto state = static_cast<state_id>(s);
         if ((machine.display(state) == beep_symbol) != table_->beeps(state) ||
@@ -72,10 +68,6 @@ engine::engine(graph::topology_view view, const automaton& machine,
         planes_[j].assign((n + 63) / 64, 0);
       }
       pack_planes();
-      // beepc dispatch: a registered kernel matching this table's
-      // structure runs the fast-path rounds through its display-mode
-      // sweep entry points.
-      compiled_kernel_ = beeping::find_compiled_kernel(*table_);
     }
   }
   tail_mask_ = (n % 64 == 0) ? ~0ULL : ((1ULL << (n % 64)) - 1);
@@ -101,7 +93,6 @@ void engine::pack_planes() {
     }
     if (table.beep_flag[s] != 0) beep_words_[u >> 6] |= bit;
   }
-  planes_fresh_ = true;
 }
 
 void engine::materialize() const {
@@ -124,12 +115,11 @@ void engine::set_fast_path_enabled(bool enabled) {
     // The generic census path reads and writes states_ directly; hand
     // the authority back to the vector.
     materialize();
-    planes_fresh_ = false;
     fast_enabled_ = false;
     return;
   }
   fast_enabled_ = true;
-  if (table_.has_value()) pack_planes();
+  if (table_ != nullptr) pack_planes();
 }
 
 void engine::set_parallelism(std::size_t threads, std::size_t tile_words) {
@@ -153,7 +143,7 @@ void engine::set_gather_kernel(graph::gather_kernel kernel) {
   if (!gather_.has_value()) {
     throw std::logic_error(
         "stoneage::engine::set_gather_kernel: no packed gather - the "
-        "automaton exposes no beep_machine(), so rounds take the generic "
+        "automaton binds no compiled kernel, so rounds take the generic "
         "census path");
   }
   gather_->force_kernel(kernel);
@@ -163,7 +153,7 @@ void engine::set_topology_patch(const graph::patch_overlay* patch) {
   if (!gather_.has_value()) {
     throw std::logic_error(
         "stoneage::engine::set_topology_patch: no packed gather - the "
-        "automaton exposes no beep_machine(), so rounds take the generic "
+        "automaton binds no compiled kernel, so rounds take the generic "
         "census path");
   }
   if (patch != nullptr && patch->view().node_count() != n_) {
@@ -176,12 +166,6 @@ void engine::set_topology_patch(const graph::patch_overlay* patch) {
 void engine::refresh_counters() {
   materialize();
   leader_count_ = 0;
-  if (fast_path_active()) {
-    for (state_id s : states_) {
-      leader_count_ += table_->leader_flag[s];
-    }
-    return;
-  }
   for (state_id s : states_) {
     if (machine_->is_leader(s)) ++leader_count_;
   }
@@ -196,13 +180,7 @@ void engine::step() {
   const bool sampled = tel_on && tel::round_sampled(round_);
   const std::uint64_t probe_start = sampled ? tel::now_ns() : 0;
   if (fast_path_active()) {
-    if (tel_on) {
-      if (compiled_kernel_active()) {
-        ++metrics_.rounds_plane_compiled;
-      } else {
-        ++metrics_.rounds_plane_interpreted;
-      }
-    }
+    if (tel_on) ++metrics_.rounds_plane_compiled;
     step_fast();
   } else {
     if (tel_on) ++metrics_.rounds_virtual;
@@ -249,160 +227,6 @@ support::telemetry::engine_metrics engine::telemetry_metrics() const {
   return m;
 }
 
-// Table-driven bit-sliced round: the displayed-beep word is already
-// maintained by the previous sweep (no scalar packing), the shared
-// word-parallel heard-gather computes the heard set (stencil /
-// word-CSR push / packed pull, same dispatch as the beeping engine),
-// and the transition function is evaluated with word-parallel set
-// algebra over the state planes - per-state decode masks route 64
-// nodes at a time, the new beep word and the leader count fall out of
-// the per-successor masks. With any threshold b >= 1 the clipped
-// census entry for `beep` is positive iff some neighbor displays it,
-// so this is exactly the generic round - same transitions, same
-// generator draws (stochastic rules visit their nodes individually, in
-// ascending node order, off per-node streams). The protocol's state
-// vector is not written at all; states() unpacks the planes lazily.
-void engine::step_fast() {
-  std::copy(beep_words_.begin(), beep_words_.end(), heard_words_.begin());
-  (*gather_)(beep_words_, heard_words_);
-  if (compiled_kernel_ != nullptr && compiled_enabled_) {
-    step_compiled();
-    ++round_;
-    return;
-  }
-  switch (plane_count_) {
-    case 1:
-      step_plane_impl<1>();
-      break;
-    case 2:
-      step_plane_impl<2>();
-      break;
-    case 3:
-      step_plane_impl<3>();
-      break;
-    case 4:
-      step_plane_impl<4>();
-      break;
-    case 5:
-      step_plane_impl<5>();
-      break;
-    default:
-      step_plane_impl<6>();
-      break;
-  }
-  ++round_;
-}
-
-template <std::size_t P>
-void engine::step_plane_impl() {
-  const beeping::machine_table& table = *table_;
-  const std::size_t q = table.state_count();
-  const std::size_t words = heard_words_.size();
-  support::rng* const rngs = rngs_.data();
-  const std::uint64_t* const heard = heard_words_.data();
-  std::uint64_t* const beep = beep_words_.data();
-  std::uint64_t* plane[P];
-  for (std::size_t j = 0; j < P; ++j) plane[j] = planes_[j].data();
-  std::fill(slot_leaders_.begin(), slot_leaders_.end(), 0);
-  // Tiled sweep: per-word updates are independent (own planes, own
-  // node streams); leader counts fold per slot after the barrier.
-  const auto sweep_range = [&](std::size_t slot, std::size_t wb,
-                               std::size_t we) {
-    std::size_t leaders = 0;
-    for (std::size_t w = wb; w < we; ++w) {
-      const std::uint64_t valid = (w + 1 == words) ? tail_mask_ : ~0ULL;
-      const std::uint64_t h = heard[w];
-      std::uint64_t b[P];
-      for (std::size_t j = 0; j < P; ++j) b[j] = plane[j][w];
-      std::uint64_t moved[64];  // moved[t]: nodes whose successor is t
-      for (std::size_t t = 0; t < q; ++t) moved[t] = 0;
-      // Stochastic parts are deferred so their draws happen jointly in
-      // ascending node order, exactly as the scalar loop drew them.
-      struct pending_draw {
-        const beeping::transition_rule* rule;
-        std::uint64_t part;
-      };
-      std::array<pending_draw, 128> draws;  // <= 2 per state
-      std::size_t draw_rules = 0;
-      std::uint64_t draw_union = 0;
-      std::uint64_t rem = valid;
-      for (std::size_t s = q; s-- > 0;) {
-        if (rem == 0) break;
-        std::uint64_t dec = rem;
-        for (std::size_t j = 0; j < P; ++j) {
-          dec &= ((s >> j) & 1U) ? b[j] : ~b[j];
-        }
-        if (dec == 0) continue;
-        rem &= ~dec;
-        const beeping::transition_rule& top =
-            table.rule(static_cast<state_id>(s), true);
-        const beeping::transition_rule& bot =
-            table.rule(static_cast<state_id>(s), false);
-        const std::uint64_t top_part = dec & h;
-        const std::uint64_t bot_part = dec & ~h;
-        if (top_part != 0) {
-          if (top.draw == beeping::transition_rule::draw_kind::none) {
-            moved[top.next] |= top_part;
-          } else {
-            draws[draw_rules++] = {&top, top_part};
-            draw_union |= top_part;
-          }
-        }
-        if (bot_part != 0) {
-          if (bot.draw == beeping::transition_rule::draw_kind::none) {
-            moved[bot.next] |= bot_part;
-          } else {
-            draws[draw_rules++] = {&bot, bot_part};
-            draw_union |= bot_part;
-          }
-        }
-      }
-      while (draw_union != 0) {
-        const auto offset =
-            static_cast<std::size_t>(std::countr_zero(draw_union));
-        const std::uint64_t mask = draw_union & (~draw_union + 1);
-        draw_union &= draw_union - 1;
-        const auto u = static_cast<graph::node_id>((w << 6) + offset);
-        for (std::size_t i = 0; i < draw_rules; ++i) {
-          if ((draws[i].part & mask) != 0) {
-            moved[beeping::apply_rule(*draws[i].rule, rngs[u])] |= mask;
-            break;
-          }
-        }
-      }
-      std::uint64_t np[P] = {};
-      std::uint64_t beep_bits = 0;
-      std::uint64_t leader_bits = 0;
-      for (std::size_t t = 0; t < q; ++t) {
-        const std::uint64_t m = moved[t];
-        if (m == 0) continue;
-        for (std::size_t j = 0; j < P; ++j) {
-          if ((t >> j) & 1U) np[j] |= m;
-        }
-        const std::uint8_t t_meta = table.meta[t];
-        if ((t_meta & beeping::machine_table::meta_beep) != 0) beep_bits |= m;
-        if ((t_meta & beeping::machine_table::meta_leader) != 0) {
-          leader_bits |= m;
-        }
-      }
-      for (std::size_t j = 0; j < P; ++j) plane[j][w] = np[j];
-      beep[w] = beep_bits;
-      leaders += static_cast<std::size_t>(std::popcount(leader_bits));
-    }
-    slot_leaders_[slot] += leaders;
-  };
-  if (exec_) {
-    exec_->run_tiles(words, tile_words_, sweep_range);
-  } else {
-    sweep_range(0, 0, words);
-  }
-  std::size_t leaders = 0;
-  for (const std::size_t part : slot_leaders_) leaders += part;
-  leader_count_ = leaders;
-  states_valid_ = false;  // planes authoritative; unpack on read
-  planes_fresh_ = true;
-}
-
 void engine::set_compiled_width(std::size_t width) {
   if (width != 1 && width != 2 && width != 4 && width != 8) {
     throw std::invalid_argument(
@@ -411,11 +235,21 @@ void engine::set_compiled_width(std::size_t width) {
   compiled_width_ = width;
 }
 
-// The beepc-compiled fast-path round: the kernel's display-mode sweep
-// (planes + beep word + leader count; no active set or ledger exists in
-// this engine) over the same tiling as step_plane_impl, required
-// bit-identical to it.
-void engine::step_compiled() {
+// The fast-path round: the displayed-beep word is already maintained
+// by the previous sweep (no scalar packing), the shared word-parallel
+// heard-gather computes the heard set (stencil / word-CSR push / packed
+// pull, same dispatch as the beeping engine), and the bound beepc
+// kernel's display-mode sweep (planes + beep word + leader count; no
+// active set or ledger exists in this engine) routes 64 nodes at a
+// time, tiled via set_parallelism. With any threshold b >= 1 the
+// clipped census entry for `beep` is positive iff some neighbor
+// displays it, so this is exactly the generic round - same
+// transitions, same generator draws (stochastic rules draw per node in
+// ascending order off per-node streams). The state vector is not
+// written at all; states() unpacks the planes lazily.
+void engine::step_fast() {
+  std::copy(beep_words_.begin(), beep_words_.end(), heard_words_.begin());
+  (*gather_)(beep_words_, heard_words_);
   const std::size_t words = heard_words_.size();
   std::uint64_t* plane_ptrs[6] = {};
   for (std::size_t j = 0; j < plane_count_; ++j) {
@@ -445,8 +279,8 @@ void engine::step_compiled() {
   for (const std::size_t part : slot_leaders_) leaders += part;
   leader_count_ = leaders;
   ++compiled_rounds_;
+  ++round_;
   states_valid_ = false;  // planes authoritative; unpack on read
-  planes_fresh_ = true;
 }
 
 void engine::run_rounds(std::uint64_t count) {

@@ -58,9 +58,10 @@ class automaton {
   /// disguise - alphabet {0 = silent, 1 = beep}, display(s) = beep iff
   /// the machine beeps in s, is_leader matching, and transition(s,
   /// counts, rng) == (beeps(s) || counts[1] > 0 ? delta_top : delta_bot)
-  /// with identical generator draws - return that machine, and the
-  /// engine runs its compiled table instead of the virtual
-  /// display/transition calls. Default: nullptr (generic path).
+  /// with identical generator draws - return that machine. If its table
+  /// matches a registered beepc kernel, the engine runs that kernel
+  /// instead of the virtual display/transition calls. Default: nullptr
+  /// (generic path).
   [[nodiscard]] virtual const beeping::state_machine* beep_machine() const {
     return nullptr;
   }
@@ -70,14 +71,17 @@ class automaton {
 /// and transitions on the clipped census of the *current* round's
 /// displayed symbols (double-buffered, like the beeping engine).
 ///
-/// Fast path (automaton::beep_machine): states are held bit-sliced in
-/// ceil(log2 q) planes, the displayed-beep word is maintained by the
-/// sweep itself (the old O(n) scalar display packing is gone), and the
-/// whole round - gather plus transition routing - is word-parallel and
+/// Fast path (automaton::beep_machine whose table matches a registered
+/// beepc kernel - stone-age BFW always does, for every p): states are
+/// held bit-sliced in ceil(log2 q) planes, the displayed-beep word is
+/// maintained by the kernel's display sweep itself, and the whole
+/// round - gather plus transition routing - is word-parallel and
 /// tileable via set_parallelism. The planes are authoritative while
 /// the fast path runs; states()/state_of()/displayed() unpack them
 /// lazily on first read, exactly like the beeping engine's
-/// plane-authoritative model.
+/// plane-authoritative model. Every other automaton runs the generic
+/// census path, which is also the reference the fast path is pinned
+/// against.
 class engine {
  public:
   /// Binds to a topology view (explicit graphs convert implicitly;
@@ -127,11 +131,11 @@ class engine {
   /// Overrides the configuration (adversarial-initialization tests).
   void set_states(std::vector<state_id> states);
 
-  /// Forces the generic virtual-dispatch round (`enabled == false`) or
-  /// re-enables the compiled-table fast path; bit-identical either way.
+  /// Forces the generic census round (`enabled == false`) or
+  /// re-enables the compiled-kernel fast path; bit-identical either way.
   void set_fast_path_enabled(bool enabled);
   [[nodiscard]] bool fast_path_active() const noexcept {
-    return fast_enabled_ && table_.has_value();
+    return fast_enabled_ && compiled_kernel_ != nullptr;
   }
 
   /// Tiled intra-trial parallelism for the fast path (same contract as
@@ -145,15 +149,10 @@ class engine {
     return tile_words_;
   }
 
-  /// Disables (or re-enables) the beepc-compiled round kernel; the
-  /// fast path then runs the interpreted plane sweep. Bit-identical
-  /// either way (the compiled kernels' standing contract).
-  void set_compiled_kernel_enabled(bool enabled) noexcept {
-    compiled_enabled_ = enabled;
-  }
-  /// True iff fast-path rounds dispatch to a compiled display kernel.
+  /// True iff the automaton bound a compiled display kernel (the fast
+  /// path's precondition).
   [[nodiscard]] bool compiled_kernel_active() const noexcept {
-    return compiled_kernel_ != nullptr && compiled_enabled_;
+    return compiled_kernel_ != nullptr;
   }
   /// Name of the matched compiled kernel ("" when none matched).
   [[nodiscard]] std::string compiled_kernel_name() const {
@@ -174,7 +173,7 @@ class engine {
   /// Pins one heard-gather kernel for the fast path (debugging and
   /// differential tests; kernels never change results). Throws
   /// std::invalid_argument when the kernel cannot serve this graph,
-  /// and std::logic_error when the automaton exposes no beep_machine()
+  /// and std::logic_error when the automaton binds no compiled kernel
   /// (no packed gather exists on the generic census path).
   void set_gather_kernel(graph::gather_kernel kernel);
   /// Attaches a dynamic-topology patch overlay to the fast-path gather
@@ -206,9 +205,6 @@ class engine {
  private:
   void refresh_counters();
   void step_fast();
-  template <std::size_t P>
-  void step_plane_impl();
-  void step_compiled();
   /// Packs states_ into the bit planes + the displayed-beep word (fast
   /// path entry: construction, set_states, re-enable).
   void pack_planes();
@@ -219,30 +215,27 @@ class engine {
   std::size_t n_ = 0;
   const automaton* machine_;
   std::uint32_t threshold_;
-  // Set when the automaton exposes a compiled beeping machine
-  // (automaton::beep_machine): rounds then run table-driven and
-  // bit-sliced through the same word-parallel heard-gather kernels as
-  // the beeping engine (graph::heard_gather - stencil / word-CSR push
-  // / packed pull), replacing the per-neighbor virtual display() and
-  // per-node transition() calls.
-  std::optional<beeping::machine_table> table_;
-  bool fast_enabled_ = true;
-  // beepc display kernel matched at bind time (display mode: planes +
-  // beep word + leader count, no active/ledger upkeep).
+  // Set when the automaton's beep_machine() table matched a beepc
+  // display kernel (planes + beep word + leader count, no active/ledger
+  // upkeep): rounds then run bit-sliced through the same word-parallel
+  // heard-gather kernels as the beeping engine (graph::heard_gather -
+  // stencil / word-CSR push / packed pull), replacing the per-neighbor
+  // virtual display() and per-node transition() calls. table_ points
+  // into the automaton's machine.
   const beeping::compiled_kernel* compiled_kernel_ = nullptr;
-  bool compiled_enabled_ = true;
+  const beeping::machine_table* table_ = nullptr;
+  bool fast_enabled_ = true;
   std::size_t compiled_width_ = support::simd::autotuned_width();
   std::uint64_t compiled_rounds_ = 0;
   std::optional<graph::heard_gather> gather_;     // fast path only
   std::vector<std::uint64_t> beep_words_;   // fast path: packed displays
   std::vector<std::uint64_t> heard_words_;  // fast path: packed heard set
   // Fast path: bit j of node u's state id lives in planes_[j]; the
-  // authoritative representation while plane_fresh_ (states_ is then a
-  // lazily-refreshed cache, valid iff states_valid_).
+  // authoritative representation while the fast path runs (states_ is
+  // then a lazily-refreshed cache, valid iff states_valid_).
   std::array<std::vector<std::uint64_t>, 6> planes_;
   std::size_t plane_count_ = 0;
   std::uint64_t tail_mask_ = ~0ULL;
-  bool planes_fresh_ = false;
   mutable bool states_valid_ = true;
   mutable std::uint64_t materializations_ = 0;
   // Intra-trial tiling (set_parallelism); slot partials merged after

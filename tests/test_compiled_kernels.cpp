@@ -249,6 +249,7 @@ TEST(CompiledKernelDifferentialTest, TiledParallelismStaysBitIdentical) {
 // --- Stone-age engine: compiled display kernels ---
 
 TEST(StoneAgeCompiledKernelTest, MatchesInterpretedAllWidths) {
+  // Every kernel width against the generic census reference.
   const core::bfw_stone_automaton automaton(0.5);
   for (const std::size_t width : kernel_widths) {
     for (const std::size_t n : {63U, 64U, 65U, 128U}) {
@@ -257,8 +258,8 @@ TEST(StoneAgeCompiledKernelTest, MatchesInterpretedAllWidths) {
       stoneage::engine ref(g, automaton, 1, 21);
       ASSERT_TRUE(compiled.compiled_kernel_active());
       compiled.set_compiled_width(width);
-      ref.set_compiled_kernel_enabled(false);
-      ASSERT_FALSE(ref.compiled_kernel_active());
+      ref.set_fast_path_enabled(false);
+      ASSERT_FALSE(ref.fast_path_active());
       for (int round = 0; round < 250; ++round) {
         compiled.step();
         ref.step();
@@ -310,14 +311,12 @@ TEST(KernelRegistryTest, StructureMatchIsParameterIndependent) {
   // One BFW kernel serves every p: the structure string classifies
   // stochastic rows uniformly, so p = 0.25 (bernoulli) binds the same
   // kernel as p = 0.5 (fair coin).
-  const auto table_half = core::bfw_machine(0.5).compile_table();
-  const auto table_quarter = core::bfw_machine(0.25).compile_table();
-  ASSERT_TRUE(table_half.has_value());
-  ASSERT_TRUE(table_quarter.has_value());
-  EXPECT_EQ(beeping::serialize_table_structure(*table_half),
-            beeping::serialize_table_structure(*table_quarter));
-  const auto* k_half = beeping::find_compiled_kernel(*table_half);
-  const auto* k_quarter = beeping::find_compiled_kernel(*table_quarter);
+  const core::bfw_machine half(0.5);
+  const core::bfw_machine quarter(0.25);
+  EXPECT_EQ(beeping::serialize_table_structure(half.table()),
+            beeping::serialize_table_structure(quarter.table()));
+  const auto* k_half = beeping::find_compiled_kernel(half.table());
+  const auto* k_quarter = beeping::find_compiled_kernel(quarter.table());
   ASSERT_NE(k_half, nullptr);
   EXPECT_EQ(k_half, k_quarter);
   EXPECT_EQ(k_half->name, "bfw");
@@ -327,9 +326,7 @@ TEST(KernelRegistryTest, UnservedStructureBindsNoKernel) {
   // Timeout-BFW with T = 7 has 12 states - no checked-in kernel; the
   // engine must fall back to the interpreted gear silently.
   const core::timeout_bfw_machine machine(0.5, 7);
-  const auto table = machine.compile_table();
-  ASSERT_TRUE(table.has_value());
-  EXPECT_EQ(beeping::find_compiled_kernel(*table), nullptr);
+  EXPECT_EQ(beeping::find_compiled_kernel(machine.table()), nullptr);
   const auto g = graph::make_path(64);
   fsm_protocol proto(machine);
   engine sim(g, proto, 1);

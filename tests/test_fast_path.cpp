@@ -217,12 +217,12 @@ TEST(FastPathTest, ActiveOnFsmInactiveAfterDisable) {
 
 TEST(FastPathTest, CompiledTableShapesAndFlags) {
   const core::bfw_machine machine(0.5);
-  const auto table = machine.compile_table();
-  ASSERT_TRUE(table.has_value());
+  const beeping::machine_table* const table = &machine.table();
   ASSERT_EQ(table->state_count(), core::bfw_state_count);
   for (state_id s = 0; s < core::bfw_state_count; ++s) {
-    EXPECT_EQ(table->beeps(s), machine.beeps(s)) << "state " << int(s);
-    EXPECT_EQ(table->is_leader(s), machine.is_leader(s)) << "state " << int(s);
+    EXPECT_EQ(table->beeps(s), core::bfw_is_beeping(s)) << "state " << int(s);
+    EXPECT_EQ(table->is_leader(s), core::bfw_is_leader_state(s))
+        << "state " << int(s);
   }
   // The only draw-free bot self-loop in BFW is the waiting follower.
   for (state_id s = 0; s < core::bfw_state_count; ++s) {

@@ -112,9 +112,10 @@ TEST_P(FuzzTest, RandomInitialLeaderSetsStillElect) {
       core::random_leader_configuration(g.node_count(), k, rng);
 
   const auto diameter = graph::diameter_exact(g);
-  const auto outcome = core::run_bfw_election_from(
-      g, 0.5, initial, rng.next_u64(),
-      4 * core::default_horizon(g, diameter));
+  const auto outcome = core::run_election(
+      g, core::bfw_machine(0.5), rng.next_u64(),
+      {.max_rounds = 4 * core::default_horizon(g, diameter),
+       .initial = initial});
   EXPECT_TRUE(outcome.converged) << g.name() << " k=" << k;
   EXPECT_EQ(outcome.final_leader_count, 1U);
 }

@@ -1,9 +1,9 @@
 // protocol_spec: the declarative protocol API. Covers the in-code
 // builder, JSON round-tripping, the spec-vs-legacy-machine trace
 // identity (the bundled machines are wrappers over the spec factories,
-// so their trajectories must match draw for draw), a JSON-only protocol
-// running end-to-end through the interpreted gear, and the
-// election_options runner consolidation.
+// so their trajectories must match draw for draw), the compiled table
+// against the spec rows, a JSON-only protocol running end-to-end, and
+// the election_options runner.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,6 +25,35 @@ namespace {
 using beeping::fsm_protocol;
 using beeping::transition_rule;
 using core::protocol_spec;
+
+// BFW with renamed states, defined only as JSON.
+constexpr const char* kJsonOnlySpec = R"({
+  "name": "json-only election",
+  "states": [
+    {"name": "LeadWait", "leader": true},
+    {"name": "LeadBeep", "beep": true, "leader": true},
+    {"name": "LeadFrozen", "leader": true},
+    {"name": "FollowWait"},
+    {"name": "FollowBeep", "beep": true},
+    {"name": "FollowFrozen"}
+  ],
+  "initial": "LeadWait",
+  "rules": [
+    {"state": "LeadWait",
+     "silent": {"coin": true, "then": "LeadBeep", "else": "LeadWait"},
+     "heard": {"next": "FollowBeep"}},
+    {"state": "LeadBeep",
+     "silent": {"next": "LeadFrozen"}, "heard": {"next": "LeadFrozen"}},
+    {"state": "LeadFrozen",
+     "silent": {"next": "LeadWait"}, "heard": {"next": "LeadWait"}},
+    {"state": "FollowWait",
+     "silent": {"next": "FollowWait"}, "heard": {"next": "FollowBeep"}},
+    {"state": "FollowBeep",
+     "silent": {"next": "FollowFrozen"}, "heard": {"next": "FollowFrozen"}},
+    {"state": "FollowFrozen",
+     "silent": {"next": "FollowWait"}, "heard": {"next": "FollowWait"}}
+  ]
+})";
 
 // --- builder -----------------------------------------------------------
 
@@ -72,6 +101,50 @@ TEST(ProtocolSpecBuilderTest, PatienceChainLayout) {
     EXPECT_EQ(spec.heard[k].next, spec.heard[5].next);
   }
   EXPECT_EQ(spec.silent[13].next, 0);  // timeout promotes to W*
+}
+
+bool same_rule(const transition_rule& a, const transition_rule& b) {
+  return a.draw == b.draw && a.next == b.next && a.on_true == b.on_true &&
+         a.on_false == b.on_false && a.p == b.p;
+}
+
+TEST(ProtocolSpecBuilderTest, CompiledTableMirrorsSpecRows) {
+  // compile_spec_table is the only table compiler: every row and flag
+  // of the table it builds must be the spec's own, state by state.
+  std::vector<protocol_spec> specs = {core::bfw_spec(0.5),
+                                      core::bfw_spec(0.3), core::bw_spec(0.5),
+                                      protocol_spec::from_json_text(
+                                          kJsonOnlySpec)};
+  for (const std::uint32_t timeout : {1U, 9U, 59U}) {
+    specs.push_back(core::timeout_bfw_spec(0.5, timeout));
+  }
+  for (const protocol_spec& spec : specs) {
+    const auto table = core::compile_spec_table(spec);
+    ASSERT_EQ(table.state_count(), spec.states.size()) << spec.name;
+    for (std::size_t s = 0; s < spec.states.size(); ++s) {
+      const auto state = static_cast<beeping::state_id>(s);
+      EXPECT_TRUE(same_rule(table.rule(state, false), spec.silent[s]))
+          << spec.name << " silent row of " << spec.states[s].name;
+      EXPECT_TRUE(same_rule(table.rule(state, true), spec.heard[s]))
+          << spec.name << " heard row of " << spec.states[s].name;
+      EXPECT_EQ(table.beeps(state), spec.states[s].beep) << spec.name;
+      EXPECT_EQ(table.is_leader(state), spec.states[s].leader) << spec.name;
+      const bool identity =
+          spec.silent[s].draw == transition_rule::draw_kind::none &&
+          spec.silent[s].next == state;
+      EXPECT_EQ(table.bot_identity[s] != 0, identity) << spec.name;
+      const std::uint8_t meta = table.meta[s];
+      EXPECT_EQ((meta & beeping::machine_table::meta_beep) != 0,
+                spec.states[s].beep)
+          << spec.name;
+      EXPECT_EQ((meta & beeping::machine_table::meta_leader) != 0,
+                spec.states[s].leader)
+          << spec.name;
+      EXPECT_EQ((meta & beeping::machine_table::meta_bot_identity) != 0,
+                identity)
+          << spec.name;
+    }
+  }
 }
 
 TEST(ProtocolSpecBuilderTest, ValidationRejectsMalformedSpecs) {
@@ -135,7 +208,12 @@ TEST(SpecMachineTest, ExposesMetadata) {
   EXPECT_TRUE(machine->is_leader(0));
   EXPECT_FALSE(machine->beeps(0));
   EXPECT_TRUE(machine->beeps(1));
-  EXPECT_TRUE(machine->compile_table().has_value());
+  EXPECT_EQ(machine->name(), "BFW(p=0.5)");
+  EXPECT_EQ(machine->state_name(6), "?");
+  // The machine carries its compiled table, built from its own spec.
+  EXPECT_EQ(beeping::serialize_table_structure(machine->table()),
+            beeping::serialize_table_structure(
+                core::compile_spec_table(machine->spec())));
 }
 
 // --- JSON form ---------------------------------------------------------
@@ -158,34 +236,7 @@ TEST(ProtocolSpecJsonTest, JsonOnlyProtocolRunsEndToEnd) {
   // A protocol defined purely as JSON - never written as C++ - runs
   // through the interpreted gear with no recompilation. This one is
   // BFW with renamed states, so it elects a leader.
-  const std::string text = R"({
-    "name": "json-only election",
-    "states": [
-      {"name": "LeadWait", "leader": true},
-      {"name": "LeadBeep", "beep": true, "leader": true},
-      {"name": "LeadFrozen", "leader": true},
-      {"name": "FollowWait"},
-      {"name": "FollowBeep", "beep": true},
-      {"name": "FollowFrozen"}
-    ],
-    "initial": "LeadWait",
-    "rules": [
-      {"state": "LeadWait",
-       "silent": {"coin": true, "then": "LeadBeep", "else": "LeadWait"},
-       "heard": {"next": "FollowBeep"}},
-      {"state": "LeadBeep",
-       "silent": {"next": "LeadFrozen"}, "heard": {"next": "LeadFrozen"}},
-      {"state": "LeadFrozen",
-       "silent": {"next": "LeadWait"}, "heard": {"next": "LeadWait"}},
-      {"state": "FollowWait",
-       "silent": {"next": "FollowWait"}, "heard": {"next": "FollowBeep"}},
-      {"state": "FollowBeep",
-       "silent": {"next": "FollowFrozen"}, "heard": {"next": "FollowFrozen"}},
-      {"state": "FollowFrozen",
-       "silent": {"next": "FollowWait"}, "heard": {"next": "FollowWait"}}
-    ]
-  })";
-  const auto spec = protocol_spec::from_json_text(text);
+  const auto spec = protocol_spec::from_json_text(kJsonOnlySpec);
   const auto g = graph::make_grid(6, 6);
   const auto outcome = core::run_election(g, spec, 7);
   EXPECT_TRUE(outcome.converged);
@@ -210,19 +261,6 @@ TEST(ProtocolSpecJsonTest, RejectsUnknownStateNames) {
 }
 
 // --- election_options runner ------------------------------------------
-
-TEST(ElectionOptionsTest, LegacyShimsMatchNewRunner) {
-  const auto g = graph::make_complete(32);
-  const core::bfw_machine machine(0.5);
-  const auto legacy = core::run_fsm_election(g, machine, 9, 100000);
-  core::election_options options;
-  options.max_rounds = 100000;
-  const auto fresh = core::run_election(g, machine, 9, options);
-  EXPECT_EQ(legacy.converged, fresh.converged);
-  EXPECT_EQ(legacy.rounds, fresh.rounds);
-  EXPECT_EQ(legacy.leader, fresh.leader);
-  EXPECT_EQ(legacy.total_coins, fresh.total_coins);
-}
 
 TEST(ElectionOptionsTest, DefaultHorizonDerivedWhenUnset) {
   // No max_rounds: the runner derives a generous horizon and the
