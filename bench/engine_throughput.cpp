@@ -373,6 +373,44 @@ void BM_BfwOnGridXLTiled(benchmark::State& state) {
 }
 BENCHMARK(BM_BfwOnGridXLTiled)->Arg(2)->Arg(8)->UseRealTime();
 
+// Early-regime XL rows: the coin-heavy rounds 0-63 of BFW(1/2), where
+// waiting leaders still flip coins, timed from a fresh engine -
+// construction (the per-node RNG store included) is part of every
+// iteration, as in a real trial. The XL rows above step one engine
+// across both regimes, so they mostly time the quiet late one. Items
+// are node-rounds; coins_per_node_round reports the draw density the
+// regime actually has. Serial, so unlike the other XL rows these are
+// in the CI baseline gate.
+void run_bfw_early_regime(benchmark::State& state, const graph::graph& g) {
+  constexpr std::uint64_t kEarlyRounds = 64;
+  const core::bfw_machine machine(0.5);
+  std::uint64_t coins = 0;
+  for (auto _ : state) {
+    beeping::fsm_protocol proto(machine);
+    beeping::engine sim(g, proto, 42);
+    sim.run_rounds(kEarlyRounds);
+    benchmark::DoNotOptimize(sim.leader_count());
+    coins = sim.total_coins_consumed();
+    set_exec_label(state, sim);  // negligible next to 64 XL rounds
+  }
+  const auto node_rounds =
+      static_cast<std::int64_t>(g.node_count() * kEarlyRounds);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          node_rounds);
+  state.counters["coins_per_node_round"] =
+      static_cast<double>(coins) / static_cast<double>(node_rounds);
+}
+
+void BM_BfwEarlyRegimeXL(benchmark::State& state, bool grid) {
+  const auto g = grid ? graph::make_grid(1024, 1024)
+                      : graph::make_path(std::size_t{1} << 20);
+  run_bfw_early_regime(state, g);
+}
+BENCHMARK_CAPTURE(BM_BfwEarlyRegimeXL, path, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BfwEarlyRegimeXL, grid, true)
+    ->Unit(benchmark::kMillisecond);
+
 // Implicit-view XL rows: the same geometries with no materialized
 // adjacency and the giant engine config (lazy RNG cursors, pinned
 // planes). The Implicit/materialized delta is the cost of the CSR the

@@ -32,7 +32,7 @@ bool clique_lottery::is_leader(graph::node_id node) const {
 }
 
 void clique_lottery::step(graph::node_id node, bool heard,
-                          support::rng& node_rng) {
+                          support::node_stream node_rng) {
   node_state& s = nodes_[node];
   const bool listened = s.candidate && !s.beep_now;
   // Withdrawal: a listening candidate that heard a competitor loses.

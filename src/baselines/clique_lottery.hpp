@@ -38,7 +38,8 @@ class clique_lottery final : public beeping::protocol {
   void reset(std::size_t node_count, support::rng& init_rng) override;
   [[nodiscard]] bool beeping(graph::node_id node) const override;
   [[nodiscard]] bool is_leader(graph::node_id node) const override;
-  void step(graph::node_id node, bool heard, support::rng& node_rng) override;
+  void step(graph::node_id node, bool heard,
+            support::node_stream node_rng) override;
   [[nodiscard]] std::string describe(graph::node_id node) const override;
   [[nodiscard]] std::string name() const override;
 

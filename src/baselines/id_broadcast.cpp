@@ -39,7 +39,7 @@ bool id_broadcast_election::is_leader(graph::node_id node) const {
 }
 
 void id_broadcast_election::step(graph::node_id node, bool heard,
-                                 support::rng& /*node_rng*/) {
+                                 support::node_stream /*node_rng*/) {
   node_state& s = nodes_[node];
   if (s.finished) return;
 

@@ -257,7 +257,7 @@ sweep_result compiled_sweep_impl(const plane_ctx& ctx, std::uint64_t* dirty,
               constexpr std::size_t d = decltype(Dd)::value;
               // Parts are disjoint: exactly one slot claims the bit.
               if ((draw_mask[d].lane(l) & mask) != 0) {
-                t = apply_rule(ctx.rules[Traits::draw_slots[d]], ctx.rngs[u]);
+                t = apply_rule(ctx.rules[Traits::draw_slots[d]], ctx.rngs, u);
               }
             });
             const std::uint8_t t_meta = Traits::meta[t];

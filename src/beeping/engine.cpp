@@ -131,7 +131,7 @@ engine::engine(graph::topology_view view, protocol& proto, std::uint64_t seed,
   if (noise_.enabled()) {
     // Dedicated streams: enabling noise must not perturb the protocol
     // coins, and a (0, 0) noise model stays bit-identical.
-    noise_rngs_ = support::make_node_streams(seed ^ 0x6e015eULL, n);
+    noise_rngs_ = support::rng_store::dense(seed ^ 0x6e015eULL, n);
   }
   const std::size_t words = word_count(n);
   beep_words_ = arena_.alloc_words(words);
@@ -197,6 +197,7 @@ void engine::set_parallelism(std::size_t threads, std::size_t tile_words) {
     gather_.set_executor(nullptr, 0);
     tile_words_ = tile_words;
     rngs_.set_slots(1);
+    noise_rngs_.set_slots(1);
     slot_leaders_.assign(1, 0);
     slot_active_.assign(1, 0);
     slot_dirty_.assign(
@@ -213,10 +214,12 @@ void engine::set_parallelism(std::size_t threads, std::size_t tile_words) {
   tile_words_ = tile_words != 0 ? tile_words
                                 : support::autotuned_tile_words(*exec_);
   gather_.set_executor(exec_.get(), tile_words_);
-  // One lazy-store scratch context per executor slot: tiles own
-  // disjoint stream ranges, and the engine syncs all slots after every
-  // tiled round's barrier (see rng_store's class comment).
+  // One store slot (scratch context + coin counter) per executor slot:
+  // tiles own disjoint stream ranges, and the engine syncs all slots
+  // after every lazy tiled round's barrier (see rng_store's class
+  // comment).
   rngs_.set_slots(resolved);
+  noise_rngs_.set_slots(resolved);
   slot_leaders_.assign(resolved, 0);
   slot_active_.assign(resolved, 0);
   slot_dirty_.assign(
@@ -894,11 +897,13 @@ void engine::apply_noise() {
   const std::size_t words = heard_words_.size();
   const std::uint64_t* const beep = beep_words_.data();
   std::uint64_t* const heard = heard_words_.data();
-  support::rng* const noise = noise_rngs_.data();
   const double miss = noise_.miss;
   const double hallucinate = noise_.hallucinate;
-  const auto noise_range = [&](std::size_t /*slot*/, std::size_t wb,
+  // No sync_all() needed: nothing ever parks a noise stream in a
+  // scratch generator (the store only serves bernoulli draws in place).
+  const auto noise_range = [&](std::size_t slot, std::size_t wb,
                                std::size_t we) {
+    const support::rng_source noise = noise_rngs_.source(slot);
     for (std::size_t w = wb; w < we; ++w) {
       const std::size_t base = w << 6;
       const std::size_t limit = n - base < 64 ? n - base : 64;
@@ -908,8 +913,9 @@ void engine::apply_noise() {
         const std::uint64_t mask = 1ULL << i;
         if ((own & mask) != 0) continue;  // own beep is never corrupted
         const bool neighbor_beeped = (hw & mask) != 0;
-        const bool h = neighbor_beeped ? !noise[base + i].bernoulli(miss)
-                                       : noise[base + i].bernoulli(hallucinate);
+        const bool h = neighbor_beeped
+                           ? !noise.bernoulli(base + i, miss)
+                           : noise.bernoulli(base + i, hallucinate);
         hw = h ? (hw | mask) : (hw & ~mask);
       }
       heard[w] = hw;
@@ -942,6 +948,8 @@ void engine::notify_round_observers() {
 // heard_words_ to hold the delta_top set for the current round.
 void engine::finish_step() {
   const std::size_t n = n_;
+  rngs_.sync_all();
+  const support::rng_source rngs = rngs_.source();
   if (fsm_ != nullptr) {
     // Guard-free reference gear: fsm_protocol::step re-checks the
     // lazy-state guard on every call (~10-15% of a reference round);
@@ -952,13 +960,13 @@ void engine::finish_step() {
     const state_machine& machine = fsm_->machine();
     state_id* const states = fsm_->raw_states().data();
     for (graph::node_id u = 0; u < n; ++u) {
-      states[u] = test_bit(heard_words_, u)
-                      ? machine.delta_top(states[u], rngs_[u])
-                      : machine.delta_bot(states[u], rngs_[u]);
+      const support::node_stream rng(rngs, u);
+      states[u] = test_bit(heard_words_, u) ? machine.delta_top(states[u], rng)
+                                            : machine.delta_bot(states[u], rng);
     }
   } else {
     for (graph::node_id u = 0; u < n; ++u) {
-      proto_->step(u, test_bit(heard_words_, u), rngs_[u]);
+      proto_->step(u, test_bit(heard_words_, u), support::node_stream(rngs, u));
     }
   }
   ++round_;
@@ -1010,6 +1018,7 @@ void engine::finish_step_fast() {
   // every iteration (they may alias under TBAA).
   beep_flags_valid_ = false;
   std::fill(slot_leaders_.begin(), slot_leaders_.end(), 0);
+  rngs_.sync_all();  // no stream may stay parked in a scratch generator
   const auto sweep_range = [&](std::size_t slot, std::size_t wb,
                                std::size_t we) {
     const support::rng_source rngs = rngs_.source(slot);
@@ -1030,7 +1039,7 @@ void engine::finish_step_fast() {
         const transition_rule& rule =
             rules[(static_cast<std::size_t>(s) << 1) |
                   ((heard_bits & mask) != 0 ? 1U : 0U)];
-        const state_id next = apply_rule(rule, rngs[u]);
+        const state_id next = apply_rule(rule, rngs, u);
         states[u] = next;
         // Branchless bookkeeping: wave fronts make beep/identity
         // branches unpredictable, so fold the flag bits arithmetically.
@@ -1133,11 +1142,13 @@ void engine::finish_step_plane_impl() {
   // never matters). Serial execution is the one-tile special case.
   std::fill(slot_leaders_.begin(), slot_leaders_.end(), 0);
   std::fill(slot_active_.begin(), slot_active_.end(), 0);
+  rngs_.sync_all();  // no stream may stay parked in a scratch generator
   const auto sweep_range = [&](std::size_t slot, std::size_t wb,
                                std::size_t we) {
-  // Slot-local generator source: in lazy-cursor mode each slot owns a
-  // scratch generator, so concurrent tiles never share mutable state
-  // (post-barrier sync_all writes the cursors back).
+  // Slot-local generator source: each slot owns a scratch generator
+  // (lazy mode) and a coin counter (dense mode), so concurrent tiles
+  // never share mutable state (post-barrier sync_all writes the lazy
+  // cursors back).
   const support::rng_source rngs = rngs_.source(slot);
   std::uint64_t* const dirty = slot_dirty_[slot].data();
   std::size_t leaders = 0;
@@ -1279,7 +1290,7 @@ void engine::finish_step_plane_impl() {
       const auto u = static_cast<graph::node_id>((w << 6) + offset);
       for (std::size_t i = 0; i < draw_rules; ++i) {
         if ((draws[i].part & mask) != 0) {
-          moved[apply_rule(*draws[i].rule, rngs[u])] |= mask;
+          moved[apply_rule(*draws[i].rule, rngs, u)] |= mask;
           break;
         }
       }
@@ -1396,6 +1407,7 @@ void engine::finish_step_plane_compiled() {
   ctx.leader = leader_words_.data();
   ctx.planes = plane_ptrs;
   ctx.ledger = ledger_ptrs;
+  rngs_.sync_all();
   ctx.rngs = rngs_.source();
   ctx.rules = table_->rules.data();
   ctx.tail_mask = tail_mask_;
@@ -1408,7 +1420,7 @@ void engine::finish_step_plane_compiled() {
   const auto sweep_range = [&](std::size_t slot, std::size_t wb,
                                std::size_t we) {
     // Per-tile ctx copy with a slot-local generator source (lazy-mode
-    // scratch generators must not be shared across concurrent tiles).
+    // scratch generators and dense-mode coin counters are per slot).
     plane_ctx tile_ctx = ctx;
     tile_ctx.rngs = rngs_.source(slot);
     const sweep_result part = sweep(tile_ctx, slot_dirty_[slot].data(), wb, we);
@@ -1542,6 +1554,7 @@ void engine::step_reference() {
   // neighbor scan over byte flags, writing the packed heard set.
   ensure_beep_flags();
   const graph::graph* const g = view_.explicit_graph();
+  const support::rng_source noise = noise_rngs_.source();
   std::fill(heard_words_.begin(), heard_words_.end(), 0);
   for (graph::node_id u = 0; u < n; ++u) {
     bool heard = beeping_[u] != 0;
@@ -1575,9 +1588,9 @@ void engine::step_reference() {
         // Reception noise: erase a real beep or hallucinate one. A
         // node's own beep is never affected (it knows its state).
         if (neighbor_beeped) {
-          heard = !noise_rngs_[u].bernoulli(noise_.miss);
+          heard = !noise.bernoulli(u, noise_.miss);
         } else {
-          heard = noise_rngs_[u].bernoulli(noise_.hallucinate);
+          heard = noise.bernoulli(u, noise_.hallucinate);
         }
       }
     }

@@ -145,9 +145,10 @@ struct noise_model {
 /// giant run cannot afford (and never reads).
 struct engine_config {
   /// Per-node generators as 4-byte lazy draw cursors (rng_store) in
-  /// place of the materialized 56-byte-per-node array. Requires an
-  /// fsm_protocol machine whose draw rules are uniform in kind (all
-  /// fair-coin or all bernoulli), no noise model, and serial rounds.
+  /// place of the dense store's 40 bytes per node (8-byte coin word +
+  /// 32-byte xoshiro state). Requires an fsm_protocol machine whose
+  /// draw rules are uniform in kind (all fair-coin or all bernoulli),
+  /// no noise model, and serial rounds.
   bool lazy_rng = false;
   /// When false, skip the O(n) beep-count ledger behind the observer
   /// API (beep_count reads zero). Giant runs attach no observers.
@@ -373,7 +374,10 @@ class engine : private fsm_protocol::lazy_source {
   /// p = 1/2 a waiting leader consumes exactly one coin per round).
   [[nodiscard]] std::uint64_t total_coins_consumed() const noexcept;
 
-  /// Per-node generator access (tests use this to couple runs).
+  /// Per-node generator access (tests use this to couple runs). The
+  /// stream is materialized in the store's slot-0 scratch generator:
+  /// the reference is valid until the next node_rng call or the next
+  /// round, whichever comes first (both write the scratch back).
   [[nodiscard]] support::rng& node_rng(graph::node_id u) { return rngs_[u]; }
 
   /// Forces the reference gear (`enabled == false`: per-node rule
@@ -624,10 +628,13 @@ class engine : private fsm_protocol::lazy_source {
   // giant ones, first-touch commit. Declared before the buffers it
   // backs.
   support::plane_arena arena_;
-  // mutable: total_coins_consumed() is const but the lazy store folds
-  // its scratch cursor back on read.
+  // mutable: total_coins_consumed() is const but the store folds its
+  // scratch stream back on read.
   mutable support::rng_store rngs_;
-  std::vector<support::rng> noise_rngs_;  // empty unless noise enabled
+  // Dedicated reception-noise streams: a dense store that only serves
+  // bernoulli draws (so only its cold array is ever touched). Empty
+  // unless noise is enabled.
+  support::rng_store noise_rngs_;
   noise_model noise_;
   // Byte mirror of beep_words_ for the observer API; rebuilt lazily
   // (only when observers are attached or beep_flags() is queried), so

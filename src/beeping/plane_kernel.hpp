@@ -43,9 +43,10 @@ struct plane_ctx {
   std::uint64_t* leader = nullptr;
   std::uint64_t* const* planes = nullptr;
   std::uint64_t* const* ledger = nullptr;
-  /// Per-node generator indirection: dense engines expose the raw
-  /// stream array, giant engines the lazy cursor store (identical draw
-  /// sequences either way).
+  /// Per-node generator indirection, bound to the tile's slot: dense
+  /// engines draw from the hot/cold arrays in place, giant engines
+  /// through the lazy cursor store (identical draw sequences either
+  /// way).
   support::rng_source rngs;
   /// machine_table::rules.data() of the bound table: stochastic rows
   /// are applied per node through this, so the kernel structure stays

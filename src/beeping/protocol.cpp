@@ -51,7 +51,7 @@ bool fsm_protocol::is_leader(graph::node_id node) const {
 }
 
 void fsm_protocol::step(graph::node_id node, bool heard,
-                        support::rng& node_rng) {
+                        support::node_stream node_rng) {
   materialize();  // the vector becomes truth before it is mutated
   states_[node] = heard ? machine_->delta_top(states_[node], node_rng)
                         : machine_->delta_bot(states_[node], node_rng);

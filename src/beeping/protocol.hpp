@@ -74,7 +74,7 @@ struct transition_rule {
 
 /// Applies one rule, performing exactly the draw its kind names.
 [[nodiscard]] inline state_id apply_rule(const transition_rule& rule,
-                                         support::rng& rng) {
+                                         support::node_stream rng) {
   switch (rule.draw) {
     case transition_rule::draw_kind::none:
       return rule.next;
@@ -84,6 +84,26 @@ struct transition_rule {
       return rng.bernoulli(rule.p) ? rule.on_true : rule.on_false;
   }
   return rule.next;  // unreachable: draw_kind is exhaustive
+}
+
+/// The same, drawing from stream `u` of `rngs` - the form the fast
+/// gears' per-node loops use. A lazy store materializes the stream
+/// once and draws through the generator, so the loop carries one
+/// lazy draw site instead of one per draw kind.
+[[nodiscard]] inline state_id apply_rule(const transition_rule& rule,
+                                         const support::rng_source& rngs,
+                                         std::size_t u) {
+  switch (rule.draw) {
+    case transition_rule::draw_kind::none:
+      return rule.next;
+    case transition_rule::draw_kind::coin:
+      if (rngs.hot == nullptr) break;
+      return rngs.coin(u) ? rule.on_true : rule.on_false;
+    case transition_rule::draw_kind::bernoulli:
+      if (rngs.hot == nullptr) break;
+      return rngs.bernoulli(u, rule.p) ? rule.on_true : rule.on_false;
+  }
+  return apply_rule(rule, rngs.store->at(rngs.slot, u));
 }
 
 /// Flat compiled form of a state_machine M = (Q_listen, Q_beep, q_s,
@@ -161,12 +181,14 @@ class state_machine {
     return table_.is_leader(state);
   }
   /// delta_top: applied when the node beeped or heard a beep.
-  [[nodiscard]] state_id delta_top(state_id state, support::rng& rng) const {
+  [[nodiscard]] state_id delta_top(state_id state,
+                                   support::node_stream rng) const {
     return apply_rule(heard_[state], rng);
   }
   /// delta_bot: applied when the node and its whole neighborhood were
   /// silent.
-  [[nodiscard]] state_id delta_bot(state_id state, support::rng& rng) const {
+  [[nodiscard]] state_id delta_bot(state_id state,
+                                   support::node_stream rng) const {
     return apply_rule(silent_[state], rng);
   }
   /// The state's label; "?" for an out-of-range id.
@@ -207,7 +229,7 @@ class protocol {
   /// node beeped itself or at least one neighbor beeped (the delta_top
   /// condition).
   virtual void step(graph::node_id node, bool heard,
-                    support::rng& node_rng) = 0;
+                    support::node_stream node_rng) = 0;
 
   /// Short human-readable state label (for traces/visualization).
   [[nodiscard]] virtual std::string describe(graph::node_id node) const = 0;
@@ -256,7 +278,8 @@ class fsm_protocol final : public protocol {
   void reset_deferred(std::size_t node_count);
   [[nodiscard]] bool beeping(graph::node_id node) const override;
   [[nodiscard]] bool is_leader(graph::node_id node) const override;
-  void step(graph::node_id node, bool heard, support::rng& node_rng) override;
+  void step(graph::node_id node, bool heard,
+            support::node_stream node_rng) override;
   [[nodiscard]] std::string describe(graph::node_id node) const override;
   [[nodiscard]] std::string name() const override { return machine_->name(); }
 

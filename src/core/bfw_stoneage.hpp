@@ -40,7 +40,7 @@ class bfw_stone_automaton final : public stoneage::automaton {
   }
   [[nodiscard]] stoneage::state_id transition(
       stoneage::state_id state, std::span<const std::uint32_t> counts,
-      support::rng& rng) const override {
+      support::node_stream rng) const override {
     // delta_top applies iff the node itself beeps or >=1 neighbor
     // displays `beep` (with b = 1 the clipped count is exactly that
     // indicator).

@@ -6,7 +6,7 @@ engine::engine(const graph::graph& g, beeping::protocol& proto,
                std::uint64_t seed, bool collision_detection)
     : g_(&g), proto_(&proto), cd_(collision_detection) {
   const std::size_t n = g.node_count();
-  rngs_ = support::make_node_streams(seed, n + 1);
+  rngs_ = support::rng_store::dense(seed, n + 1);
   proto_->reset(n, rngs_[n]);
   transmitting_.assign(n, 0);
   receptions_.assign(n, reception::silence);
@@ -24,6 +24,7 @@ void engine::refresh_round_state() {
 
 void engine::step() {
   const std::size_t n = g_->node_count();
+  const support::rng_source rngs = rngs_.source();
   for (graph::node_id u = 0; u < n; ++u) {
     unsigned transmitters = 0;
     for (graph::node_id v : g_->neighbors(u)) {
@@ -41,7 +42,7 @@ void engine::step() {
     const bool heard =
         transmitting_[u] != 0 || receptions_[u] == reception::single ||
         (cd_ && receptions_[u] == reception::collision);
-    proto_->step(u, heard, rngs_[u]);
+    proto_->step(u, heard, support::node_stream(rngs, u));
   }
   ++round_;
   refresh_round_state();

@@ -85,7 +85,7 @@ class engine {
   const graph::graph* g_;
   beeping::protocol* proto_;
   bool cd_;
-  std::vector<support::rng> rngs_;
+  support::rng_store rngs_;
   std::vector<std::uint8_t> transmitting_;
   std::vector<reception> receptions_;
   std::uint64_t round_ = 0;

@@ -25,7 +25,7 @@ engine::engine(graph::topology_view view, const automaton& machine,
     throw std::invalid_argument("stoneage::engine: threshold must be >= 1");
   }
   const std::size_t n = n_;
-  rngs_ = support::make_node_streams(seed, n);
+  rngs_ = support::rng_store::dense(seed, n);
   states_.assign(n, machine.initial_state());
   next_states_.assign(n, machine.initial_state());
   census_.assign(machine.alphabet_size(), 0);
@@ -129,6 +129,7 @@ void engine::set_parallelism(std::size_t threads, std::size_t tile_words) {
   if (resolved <= 1) {
     exec_.reset();
     if (gather_.has_value()) gather_->set_executor(nullptr, 0);
+    rngs_.set_slots(1);
     slot_leaders_.assign(1, 0);
     return;
   }
@@ -136,6 +137,7 @@ void engine::set_parallelism(std::size_t threads, std::size_t tile_words) {
     exec_ = std::make_unique<support::tile_executor>(resolved);
   }
   if (gather_.has_value()) gather_->set_executor(exec_.get(), tile_words_);
+  rngs_.set_slots(resolved);
   slot_leaders_.assign(resolved, 0);
 }
 
@@ -185,13 +187,15 @@ void engine::step() {
   } else {
     if (tel_on) ++metrics_.rounds_virtual;
     const std::size_t n = n_;
+    const support::rng_source rngs = rngs_.source();
     for (graph::node_id u = 0; u < n; ++u) {
       std::fill(census_.begin(), census_.end(), 0U);
       view_.for_each_neighbor(u, [&](graph::node_id v) {
         const symbol sigma = machine_->display(states_[v]);
         if (census_[sigma] < threshold_) ++census_[sigma];
       });
-      next_states_[u] = machine_->transition(states_[u], census_, rngs_[u]);
+      next_states_[u] = machine_->transition(states_[u], census_,
+                                             support::node_stream(rngs, u));
     }
     states_.swap(next_states_);
     ++round_;
@@ -259,7 +263,7 @@ void engine::step_fast() {
   ctx.heard = heard_words_.data();
   ctx.beep = beep_words_.data();
   ctx.planes = plane_ptrs;
-  ctx.rngs = support::rng_source{rngs_.data(), nullptr};
+  ctx.rngs = rngs_.source();
   ctx.rules = table_->rules.data();
   ctx.tail_mask = tail_mask_;
   ctx.words = words;
@@ -268,7 +272,10 @@ void engine::step_fast() {
   std::fill(slot_leaders_.begin(), slot_leaders_.end(), 0);
   const auto sweep_range = [&](std::size_t slot, std::size_t wb,
                                std::size_t we) {
-    slot_leaders_[slot] += sweep(ctx, wb, we).leaders;
+    // Per-tile ctx copy drawing through the slot's own coin counter.
+    beeping::plane_ctx tile_ctx = ctx;
+    tile_ctx.rngs = rngs_.source(slot);
+    slot_leaders_[slot] += sweep(tile_ctx, wb, we).leaders;
   };
   if (exec_) {
     exec_->run_tiles(words, tile_words_, sweep_range);

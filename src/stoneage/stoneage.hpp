@@ -50,7 +50,7 @@ class automaton {
   /// counts[sigma] = min(#neighbors displaying sigma, b).
   [[nodiscard]] virtual state_id transition(
       state_id state, std::span<const std::uint32_t> counts,
-      support::rng& rng) const = 0;
+      support::node_stream rng) const = 0;
   [[nodiscard]] virtual std::string state_name(state_id state) const = 0;
   [[nodiscard]] virtual std::string name() const = 0;
 
@@ -243,7 +243,7 @@ class engine {
   std::unique_ptr<support::tile_executor> exec_;
   std::size_t tile_words_ = 0;
   std::vector<std::size_t> slot_leaders_;
-  std::vector<support::rng> rngs_;
+  support::rng_store rngs_;
   mutable std::vector<state_id> states_;
   std::vector<state_id> next_states_;  // generic path double buffer
   std::vector<std::uint32_t> census_;  // scratch: alphabet_size entries

@@ -1,6 +1,7 @@
 #include "support/rng.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -84,7 +85,9 @@ std::vector<rng> make_node_streams(std::uint64_t root_seed,
 
 rng_store rng_store::dense(std::uint64_t root_seed, std::size_t count) {
   rng_store store;
-  store.dense_ = make_node_streams(root_seed, count);
+  store.root_ = rng(root_seed);
+  store.hot_.assign(count, 0);
+  store.cold_ = std::make_unique_for_overwrite<rng::state_type[]>(count);
   return store;
 }
 
@@ -98,10 +101,19 @@ rng_store rng_store::lazy(std::uint64_t root_seed, std::size_t count,
   return store;
 }
 
+void rng_store::seed(std::size_t stream) noexcept {
+  cold_[stream] = root_.substream(stream).state_;
+  hot_[stream] = 1;
+}
+
 rng& rng_store::acquire(std::size_t slot, std::size_t stream) noexcept {
   sync(slot);
   slot_state& s = slots_[slot];
   s.active = stream;
+  if (!lazy_) {
+    unpack(s.scratch, stream);
+    return s.scratch;
+  }
   s.scratch = root_.substream(stream);
   const std::uint32_t cursor = cursors_[stream];
   if (cursor != 0) {
@@ -114,23 +126,32 @@ rng& rng_store::acquire(std::size_t slot, std::size_t stream) noexcept {
   return s.scratch;
 }
 
-void rng_store::sync(std::size_t slot) noexcept {
-  slot_state& s = slots_[slot];
-  if (s.active == npos) return;
-  const std::uint64_t count = mode_ == draw_mode::coins
-                                  ? s.scratch.coins_consumed()
-                                  : s.scratch.u64_draws();
-  cursors_[s.active] = static_cast<std::uint32_t>(count);
-  s.active = npos;
+// Kept out of acquire(): inlined, the dense unpack made the lazy path -
+// one acquire per draw in a giant trial - measurably slower.
+[[gnu::noinline]] void rng_store::unpack(rng& out,
+                                         std::size_t stream) noexcept {
+  // The sentinel's position is the number of unread coins, the bits
+  // below it are those coins.
+  if (hot_[stream] == 0) seed(stream);
+  const std::uint64_t h = hot_[stream];
+  const auto left = static_cast<unsigned>(63 - std::countl_zero(h));
+  out.state_ = cold_[stream];
+  out.coin_buffer_ = h ^ (1ULL << left);
+  out.coin_bits_left_ = left;
+  out.coins_ = 0;
+  out.calls_ = 0;
 }
 
 void rng_store::sync_all() noexcept {
-  if (!lazy_) return;
   for (std::size_t slot = 0; slot < slots_.size(); ++slot) sync(slot);
 }
 
 void rng_store::set_slots(std::size_t slots) {
   sync_all();
+  for (slot_state& s : slots_) {
+    coins_base_ += s.coins;
+    s.coins = 0;
+  }
   slots_.resize(slots == 0 ? 1 : slots);
 }
 
@@ -156,13 +177,13 @@ std::span<std::uint32_t> rng_store::cursors_mutable() {
 }
 
 std::uint64_t rng_store::total_draws() {
-  if (!lazy_) {
-    std::uint64_t total = 0;
-    for (const rng& stream : dense_) total += stream.coins_consumed();
-    return total;
-  }
   sync_all();
   std::uint64_t total = 0;
+  if (!lazy_) {
+    total = coins_base_;
+    for (const slot_state& s : slots_) total += s.coins;
+    return total;
+  }
   for (const std::uint32_t cursor : cursors_) total += cursor;
   return total;
 }

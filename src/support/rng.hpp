@@ -22,6 +22,7 @@
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -49,6 +50,8 @@ struct split_mix64 {
 class rng {
  public:
   using result_type = std::uint64_t;
+  /// The raw xoshiro256** state (32 bytes).
+  using state_type = std::array<std::uint64_t, 4>;
 
   /// Seeds the four words of state by running splitmix64 from `seed`.
   explicit rng(std::uint64_t seed) noexcept;
@@ -61,24 +64,34 @@ class rng {
   // engine's per-node round path, where an out-of-line call would cost
   // as much as the draw itself.
 
-  /// Raw 64 uniform bits (xoshiro256** scrambler).
-  std::uint64_t next_u64() noexcept {
-    ++calls_;
-    const std::uint64_t result = rotl_(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl_(state_[3], 45);
+  /// One xoshiro256** step on a raw state: returns the scrambled
+  /// output and advances `s`. next_u64() and the dense rng_store's
+  /// cold array share it, so both produce the same sequence.
+  static std::uint64_t advance(state_type& s) noexcept {
+    const std::uint64_t result = rotl_(s[1] * 5, 7) * 9;
+    const std::uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = rotl_(s[3], 45);
     return result;
   }
 
-  /// Uniform double in [0, 1) with 53 bits of precision.
-  double uniform01() noexcept {
-    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  /// Maps 64 raw bits to a double in [0, 1) with 53 bits of precision.
+  static double to_unit(std::uint64_t bits) noexcept {
+    return static_cast<double>(bits >> 11) * 0x1.0p-53;
   }
+
+  /// Raw 64 uniform bits (xoshiro256** scrambler).
+  std::uint64_t next_u64() noexcept {
+    ++calls_;
+    return advance(state_);
+  }
+
+  /// Uniform double in [0, 1) with 53 bits of precision.
+  double uniform01() noexcept { return to_unit(next_u64()); }
 
   /// Bernoulli(p) trial; p is clamped to [0, 1].
   bool bernoulli(double p) noexcept {
@@ -134,7 +147,7 @@ class rng {
   /// this is the complete draw cursor of a stream: a fresh generator
   /// fast-forwarded by either count lands on the identical state, which
   /// is what lets giant trials store a 4-byte cursor per node instead
-  /// of a 56-byte generator (rng_store below).
+  /// of a 64-byte generator (rng_store below).
   [[nodiscard]] std::uint64_t u64_draws() const noexcept { return calls_; }
 
   /// Advances past `count` fair coins exactly as `count` coin() calls
@@ -172,7 +185,11 @@ class rng {
     return (x << k) | (x >> (64 - k));
   }
 
-  std::array<std::uint64_t, 4> state_{};
+  // The dense rng_store moves a stream between its hot/cold arrays and
+  // a slot's scratch generator field by field.
+  friend class rng_store;
+
+  state_type state_{};
   std::uint64_t coin_buffer_ = 0;
   unsigned coin_bits_left_ = 0;
   std::uint64_t coins_ = 0;
@@ -180,7 +197,8 @@ class rng {
 };
 
 /// Derives `count` per-node generators from a root seed, one substream
-/// per node id. Convenience used by every simulator.
+/// per node id. The plain-generator reference: rng_store serves the
+/// identical streams, and the tests compare it against this array.
 [[nodiscard]] std::vector<rng> make_node_streams(std::uint64_t root_seed,
                                                  std::size_t count);
 
@@ -190,31 +208,51 @@ class rng {
 /// next_u64 calls (bernoulli / uniform draws - one word per draw).
 enum class draw_mode : std::uint8_t { coins, raw64 };
 
+struct rng_source;
+
 /// The per-node generator array behind an engine, in one of two
-/// representations with identical draw sequences:
+/// representations. Both serve exactly the make_node_streams(seed, n)
+/// sequences, draw for draw:
 ///
-///  * dense - a materialized std::vector<rng>, exactly the historical
-///    make_node_streams array. Zero-cost indexing; 56 bytes per node.
+///  * dense - a structure of arrays, 40 bytes per stream:
+///     - a *hot* 8-byte coin word, touched by every fair coin;
+///     - a *cold* 32-byte xoshiro state, touched only when the coin
+///       word runs dry or on a raw (next_u64 / bernoulli) draw.
+///    The hot word is sentinel-encoded: 0 means "not seeded yet", 1
+///    means "seeded, coin buffer empty", and any other value holds the
+///    unread coins in its low bits with one sentinel bit above them -
+///    rng::coin()'s buffer, LSB first, 64 coins per xoshiro word. A
+///    stream's cold state is seeded from root.substream(stream) on its
+///    first draw, not at construction, so building the store costs one
+///    zeroed hot array. No per-stream counters are stored: each slot
+///    (below) keeps one coin counter for the streams it draws.
 ///  * lazy  - a 4-byte draw cursor per node plus one scratch
-///    generator. operator[] reconstructs the requested stream on
+///    generator. Each access reconstructs the requested stream on
 ///    demand (substream + fast-forward by the cursor), so a
-///    10^9-node giant trial pays 4 GB instead of 56 GB, and the
+///    10^9-node giant trial pays 4 GB instead of 40 GB, and the
 ///    cursor array doubles as the checkpoint representation of all
 ///    randomness. Reconstruction replays cursor/64 words, which stays
 ///    cheap because a BFW node only draws while it waits in W-black.
 ///
-/// Lazy mode serves one stream at a time *per slot* (the engines' plane
-/// sweeps draw in ascending node order, so this is a cache hit in the
-/// common case). A slot is a thread context: tiled sweeps give every
-/// executor slot its own cache-line-aligned scratch generator via
-/// at(slot, stream). Concurrent use is race-free as long as slots touch
-/// disjoint stream ranges (tiles own disjoint words, hence disjoint
-/// nodes): each slot writes only its own scratch plus the cursors of
-/// streams it acquired. After a tiled round's join barrier the engine
-/// must call sync_all() - tile->slot assignment is dynamic, so a cursor
-/// left cached in one slot's scratch would be stale-read by another
-/// slot next round. Dense mode has the exact sharing contract of the
-/// vector it replaces.
+/// Draw loops go through rng_source (below), which draws from the
+/// dense arrays in place. at(slot, stream) instead hands out a whole
+/// `rng&`: the stream is copied into the slot's scratch generator and
+/// copied back when the slot moves on to another stream or on
+/// sync_all(). In dense mode only single-stream uses take that route
+/// (protocol reset's stream n, engine::node_rng), never a per-node
+/// loop; in lazy mode every draw does.
+///
+/// A slot is a thread context: tiled sweeps draw through source(slot)
+/// with their executor slot, and each cache-line-aligned slot owns its
+/// scratch generator and coin counter. Concurrent use is race-free as
+/// long as slots touch disjoint stream ranges (tiles own disjoint
+/// words, hence disjoint nodes). Lazy mode: after a tiled round's join
+/// barrier the engine must call sync_all() - tile->slot assignment is
+/// dynamic, so a cursor left cached in one slot's scratch would be
+/// stale-read by another slot next round. Both modes: when at() may
+/// have parked a stream in a scratch generator (engine::node_rng), a
+/// sweep that draws through rng_source calls sync_all() at its serial
+/// entry, so the stream is written back before it is drawn in place.
 class rng_store {
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
@@ -228,7 +266,7 @@ class rng_store {
 
   [[nodiscard]] bool is_lazy() const noexcept { return lazy_; }
   [[nodiscard]] std::size_t size() const noexcept {
-    return lazy_ ? cursors_.size() : dense_.size();
+    return lazy_ ? cursors_.size() : hot_.size();
   }
 
   /// Number of independent scratch slots (>= 1; slot 0 always exists).
@@ -236,24 +274,26 @@ class rng_store {
     return slots_.size();
   }
   /// Grows/shrinks the slot array to `slots` (clamped to >= 1). Syncs
-  /// every active scratch stream back into the cursors first, so no
-  /// draws are lost when contexts disappear.
+  /// every active scratch stream back first and folds the slots' coin
+  /// counters into the store's total, so no draw is lost when contexts
+  /// disappear.
   void set_slots(std::size_t slots);
 
   rng& operator[](std::size_t stream) noexcept { return at(0, stream); }
 
-  /// The stream, reconstructed in (or served from) the given slot's
-  /// scratch context. Lazy mode only distinguishes slots; dense mode
-  /// ignores the slot and indexes the shared array.
+  /// The stream as a whole generator, materialized in (or served from)
+  /// the given slot's scratch context. The reference stays valid until
+  /// the slot serves another stream or the next sync_all() - e.g. until
+  /// the owning engine's next round.
   rng& at(std::size_t slot, std::size_t stream) noexcept {
-    if (!lazy_) return dense_[stream];
     slot_state& s = slots_[slot];
     return stream == s.active ? s.scratch : acquire(slot, stream);
   }
 
-  /// Folds every slot's active scratch stream back into the cursor
-  /// array and deactivates it. Must run after each tiled round's join
-  /// barrier (see class comment); no-op in dense mode.
+  /// Folds every slot's active scratch stream back into the store and
+  /// deactivates it. Must run after each lazy tiled round's join
+  /// barrier, and before an in-place sweep when at() may have parked a
+  /// stream (see class comment).
   void sync_all() noexcept;
 
   /// Lazy mode: the per-stream draw cursors with the active scratch
@@ -270,58 +310,166 @@ class rng_store {
   [[nodiscard]] std::span<std::uint32_t> cursors_mutable();
 
   /// Total draws across all streams (coin bits or u64 calls, per the
-  /// mode). Dense mode reports coin bits.
+  /// mode). Dense mode reports coin bits. O(slots) in dense mode,
+  /// O(streams) in lazy mode.
   [[nodiscard]] std::uint64_t total_draws();
   /// Fair-coin account across all streams - what engines report as
   /// total_coins_consumed(). raw64-mode draws are not coins and count
-  /// zero, exactly as bernoulli() never touched the dense coin account.
+  /// zero, exactly as bernoulli() never touches the coin account.
   [[nodiscard]] std::uint64_t total_coins();
 
-  /// The draw-loop view of this store, bound to one scratch slot (see
+  /// The draw-loop view of this store, bound to one slot (see
   /// rng_source below). Tiled sweeps call source(slot) inside the tile
   /// body so each executor slot draws through its own context.
-  [[nodiscard]] struct rng_source source(std::size_t slot = 0) noexcept;
+  [[nodiscard]] rng_source source(std::size_t slot = 0) noexcept;
 
  private:
-  /// One thread context: its own scratch generator plus which stream
-  /// currently lives in it. Cache-line-aligned so concurrent slots
-  /// never false-share.
+  /// One thread context: its own scratch generator, which stream
+  /// currently lives in it, and (dense mode) the coin counter of every
+  /// draw made through this slot. Cache-line-aligned so concurrent
+  /// slots never false-share.
   struct alignas(64) slot_state {
     rng scratch{0};
     std::size_t active = npos;
+    std::uint64_t coins = 0;
   };
 
+  static constexpr std::uint64_t sentinel_top = 1ULL << 63;
+
   rng& acquire(std::size_t slot, std::size_t stream) noexcept;
-  void sync(std::size_t slot) noexcept;
+  /// Dense mode: materializes a stream's hot word and cold state as a
+  /// whole generator with a fresh (zero) draw account.
+  void unpack(rng& out, std::size_t stream) noexcept;
+  /// Writes the slot's active scratch stream back and deactivates it.
+  /// Inline: acquire() runs it on every lazy-mode draw.
+  void sync(std::size_t slot) noexcept {
+    slot_state& s = slots_[slot];
+    if (s.active == npos) return;
+    if (lazy_) {
+      const std::uint64_t count = mode_ == draw_mode::coins
+                                      ? s.scratch.coins_consumed()
+                                      : s.scratch.u64_draws();
+      cursors_[s.active] = static_cast<std::uint32_t>(count);
+    } else {
+      // Between draws rng::coin() leaves at most 63 unread coins, so
+      // the sentinel always fits above them.
+      cold_[s.active] = s.scratch.state_;
+      hot_[s.active] =
+          s.scratch.coin_buffer_ | (1ULL << s.scratch.coin_bits_left_);
+      s.coins += s.scratch.coins_consumed();
+    }
+    s.active = npos;
+  }
+  /// Dense mode: seeds a never-drawn stream's cold state (first use).
+  void seed(std::size_t stream) noexcept;
+  /// Dense mode: one fair coin from an empty (or unseeded) coin word -
+  /// one xoshiro step, 63 coins banked under the sentinel.
+  bool refill_coin(std::size_t stream) noexcept {
+    if (hot_[stream] == 0) [[unlikely]] {
+      seed(stream);
+    }
+    const std::uint64_t x = rng::advance(cold_[stream]);
+    hot_[stream] = (x >> 1) | sentinel_top;
+    return (x & 1ULL) != 0;
+  }
+  /// Dense mode: one raw word; the coin word is left as it is.
+  std::uint64_t raw_u64(std::size_t stream) noexcept {
+    if (hot_[stream] == 0) [[unlikely]] {
+      seed(stream);
+    }
+    return rng::advance(cold_[stream]);
+  }
 
   bool lazy_ = false;
   draw_mode mode_ = draw_mode::coins;
-  std::vector<rng> dense_;
-  // Lazy representation:
   rng root_{0};
+  // Dense representation. hot_ is zero-filled (every stream unseeded);
+  // cold_ is left uninitialized - a stream's state is written on its
+  // first draw, so pages of never-drawn streams are never touched.
+  std::vector<std::uint64_t> hot_;
+  std::unique_ptr<rng::state_type[]> cold_;
+  // Coins drawn through slots that set_slots() has since folded away.
+  std::uint64_t coins_base_ = 0;
+  // Lazy representation.
   std::vector<std::uint32_t> cursors_;
   std::vector<slot_state> slots_ = std::vector<slot_state>(1);
 
   friend struct rng_source;
 };
 
-/// The indirection the engines' draw loops go through: dense engines
-/// expose the raw stream array (one predictable branch over the
-/// historical direct indexing), giant engines the lazy store. `slot`
-/// selects the lazy store's scratch context; dense mode ignores it.
+/// The indirection the engines' draw loops go through, bound to one
+/// slot of an rng_store. Dense stores are drawn in place: a coin costs
+/// one load and store of the stream's hot word (plus one xoshiro step
+/// every 64 coins), and bumps the slot's coin counter. Lazy stores
+/// forward to store->at(slot, stream), so the giant path and its
+/// checkpoints are untouched. A default-constructed source is empty.
 struct rng_source {
-  rng* dense = nullptr;
+  std::uint64_t* hot = nullptr;    ///< dense mode; null in lazy mode
+  std::uint64_t* coins = nullptr;  ///< the slot's coin counter (dense)
   rng_store* store = nullptr;
   std::size_t slot = 0;
 
-  rng& operator[](std::size_t stream) const noexcept {
-    return dense != nullptr ? dense[stream] : store->at(slot, stream);
+  /// One fair coin of `stream`, identical to rng::coin().
+  bool coin(std::size_t stream) const noexcept {
+    if (hot == nullptr) return store->at(slot, stream).coin();
+    ++*coins;
+    const std::uint64_t h = hot[stream];
+    if (h > 1) {
+      hot[stream] = h >> 1;
+      return (h & 1ULL) != 0;
+    }
+    return store->refill_coin(stream);
+  }
+  /// Raw 64 bits of `stream`, identical to rng::next_u64().
+  std::uint64_t next_u64(std::size_t stream) const noexcept {
+    if (hot == nullptr) return store->at(slot, stream).next_u64();
+    return store->raw_u64(stream);
+  }
+  /// Bernoulli(p) trial of `stream`, identical to rng::bernoulli(p).
+  bool bernoulli(std::size_t stream, double p) const noexcept {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return rng::to_unit(next_u64(stream)) < p;
   }
 };
 
 inline rng_source rng_store::source(std::size_t slot) noexcept {
-  return lazy_ ? rng_source{nullptr, this, slot}
-               : rng_source{dense_.data(), nullptr, 0};
+  return lazy_ ? rng_source{nullptr, nullptr, this, slot}
+               : rng_source{hot_.data(), &slots_[slot].coins, this, slot};
 }
+
+/// The generator handle per-node protocol code draws through: either a
+/// plain generator or one stream of an rng_source. Two words, so it
+/// travels in registers (a third word would put it on the stack of
+/// every per-node virtual call). Converts implicitly from `rng&`.
+/// Touches the store only when the code actually draws.
+class node_stream {
+ public:
+  node_stream(rng& stream) noexcept  // NOLINT: implicit by design
+      : stream_(&stream), node_(npos) {}
+  node_stream(const rng_source& source, std::size_t node) noexcept
+      : source_(&source), node_(node) {}
+
+  bool coin() const noexcept {
+    return node_ == npos ? stream_->coin() : source_->coin(node_);
+  }
+  std::uint64_t next_u64() const noexcept {
+    return node_ == npos ? stream_->next_u64() : source_->next_u64(node_);
+  }
+  bool bernoulli(double p) const noexcept {
+    return node_ == npos ? stream_->bernoulli(p)
+                         : source_->bernoulli(node_, p);
+  }
+
+ private:
+  static constexpr std::size_t npos = rng_store::npos;
+
+  union {
+    rng* stream_;
+    const rng_source* source_;
+  };
+  std::size_t node_;
+};
+static_assert(sizeof(node_stream) == 16, "node_stream must stay two words");
 
 }  // namespace beepkit::support

@@ -28,7 +28,7 @@ class probe_protocol final : public protocol {
     return node == 0;
   }
   void step(graph::node_id node, bool heard,
-            support::rng& /*node_rng*/) override {
+            support::node_stream /*node_rng*/) override {
     if (heard_log_.size() <= round_) heard_log_.resize(round_ + 1);
     heard_log_[round_].resize(n_);
     heard_log_[round_][node] = heard;

@@ -614,7 +614,7 @@ TEST(StoneAgeGatherTest, GenericAutomatonRejectsKernelForcing) {
     }
     [[nodiscard]] stoneage::state_id transition(
         stoneage::state_id state, std::span<const std::uint32_t>,
-        support::rng&) const override {
+        support::node_stream) const override {
       return state;
     }
     [[nodiscard]] std::string state_name(stoneage::state_id) const override {

@@ -252,6 +252,123 @@ TEST(RngStore, SlotScratchContextsMatchDenseDrawForDraw) {
   }
 }
 
+// --- dense structure-of-arrays store ---------------------------------
+
+std::uint64_t summed_coins(const std::vector<support::rng>& streams) {
+  std::uint64_t total = 0;
+  for (const support::rng& stream : streams) total += stream.coins_consumed();
+  return total;
+}
+
+TEST(RngStore, DenseInPlaceMatchesPlainStreams) {
+  // Drawn in place - through the rng_source and through node_stream
+  // handles - the hot coin word + cold xoshiro state must replay the
+  // plain make_node_streams generators exactly, every draw kind
+  // interleaved. Stream 9 is never drawn and adds nothing to the
+  // coin account.
+  constexpr std::size_t n = 10;
+  std::vector<support::rng> ref = support::make_node_streams(42, n);
+  support::rng_store store = support::rng_store::dense(42, n);
+  const support::rng_source src = store.source();
+  for (std::size_t k = 0; k < 150; ++k) {
+    for (std::size_t u = 0; u < 9; ++u) {
+      const support::node_stream handle(src, u);
+      const support::node_stream plain(ref[u]);
+      switch ((k + u) % 4) {
+        case 0:
+          ASSERT_EQ(src.coin(u), ref[u].coin()) << k << "/" << u;
+          break;
+        case 1:
+          ASSERT_EQ(handle.coin(), plain.coin()) << k << "/" << u;
+          break;
+        case 2:
+          ASSERT_EQ(handle.next_u64(), plain.next_u64()) << k << "/" << u;
+          break;
+        default:
+          ASSERT_EQ(src.bernoulli(u, 0.7), ref[u].bernoulli(0.7))
+              << k << "/" << u;
+          break;
+      }
+    }
+  }
+  EXPECT_EQ(ref[9].coins_consumed(), 0U);
+  EXPECT_EQ(store.total_coins(), summed_coins(ref));
+  EXPECT_EQ(store.total_draws(), summed_coins(ref));
+}
+
+TEST(RngStore, DenseAtMaterializesMidBuffer) {
+  // at() materializes a stream as a whole generator in the slot's
+  // scratch: mid-buffer (1..63 coins left), with an empty buffer, or
+  // before its first draw. Moving on to the next stream - or
+  // sync_all() - writes it back, and in-place draws continue the
+  // sequence.
+  constexpr std::size_t n = 9;
+  std::vector<support::rng> ref = support::make_node_streams(42, n);
+  support::rng_store store = support::rng_store::dense(42, n);
+  const support::rng_source src = store.source();
+  // Leaves 63, 1, 0, 63, 1, 59, 32 and 28 coins buffered; stream 8
+  // stays unseeded.
+  const std::size_t warmup[n] = {1, 63, 64, 65, 127, 5, 32, 100, 0};
+  for (std::size_t u = 0; u < n; ++u) {
+    for (std::size_t k = 0; k < warmup[u]; ++k) {
+      ASSERT_EQ(src.coin(u), ref[u].coin()) << "stream " << u;
+    }
+  }
+  for (std::size_t u = 0; u < n; ++u) {
+    support::rng& whole = store.at(0, u);
+    ASSERT_EQ(whole.coin(), ref[u].coin()) << "stream " << u;
+    ASSERT_EQ(whole.next_u64(), ref[u].next_u64()) << "stream " << u;
+    ASSERT_EQ(whole.bernoulli(0.3), ref[u].bernoulli(0.3)) << "stream " << u;
+    ASSERT_EQ(whole.coin(), ref[u].coin()) << "stream " << u;
+  }
+  store.sync_all();
+  for (std::size_t u = 0; u < n; ++u) {
+    for (std::size_t k = 0; k < 70; ++k) {
+      ASSERT_EQ(src.coin(u), ref[u].coin()) << "stream " << u;
+    }
+  }
+  EXPECT_EQ(store.total_coins(), summed_coins(ref));
+}
+
+TEST(RngStore, DenseSlotsSurviveRedeal) {
+  // Tiled sweeps draw disjoint stream ranges through source(slot); each
+  // slot counts its own coins. Re-dealing streams across slots and
+  // shrinking the slot array must keep both the sequences and the
+  // coin total exact.
+  constexpr std::size_t n = 12;
+  std::vector<support::rng> ref = support::make_node_streams(42, n);
+  support::rng_store store = support::rng_store::dense(42, n);
+  store.set_slots(3);
+  ASSERT_EQ(store.slot_count(), 3U);
+  const std::size_t owner1[n] = {2, 2, 2, 2, 0, 0, 0, 0, 1, 1, 1, 1};
+  for (std::size_t u = 0; u < n; ++u) {
+    const support::rng_source src = store.source(owner1[u]);
+    for (std::size_t k = 0; k < 70 + u; ++k) {
+      ASSERT_EQ(src.coin(u), ref[u].coin()) << "round 1 stream " << u;
+    }
+  }
+  // A stream parked mid-buffer in a slot's scratch generator.
+  ASSERT_EQ(store.at(1, 5).coin(), ref[5].coin());
+  store.sync_all();
+  const std::size_t owner2[n] = {1, 0, 2, 1, 2, 1, 2, 0, 0, 2, 0, 1};
+  for (std::size_t u = 0; u < n; ++u) {
+    const support::rng_source src = store.source(owner2[u]);
+    for (std::size_t k = 0; k < 3; ++k) {
+      ASSERT_EQ(src.coin(u), ref[u].coin()) << "round 2 stream " << u;
+    }
+    ASSERT_EQ(src.next_u64(u), ref[u].next_u64()) << "round 2 stream " << u;
+  }
+  EXPECT_EQ(store.total_coins(), summed_coins(ref));
+  store.set_slots(1);
+  ASSERT_EQ(store.slot_count(), 1U);
+  EXPECT_EQ(store.total_coins(), summed_coins(ref));
+  const support::rng_source src = store.source();
+  for (std::size_t u = 0; u < n; ++u) {
+    ASSERT_EQ(src.coin(u), ref[u].coin()) << "post-shrink stream " << u;
+  }
+  EXPECT_EQ(store.total_coins(), summed_coins(ref));
+}
+
 // --- giant engine == ordinary engine ---------------------------------
 
 TEST(GiantTrial, GiantConfigMatchesOrdinaryEngine) {

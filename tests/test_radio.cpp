@@ -35,7 +35,7 @@ class fixed_transmitters final : public beeping::protocol {
   [[nodiscard]] bool is_leader(graph::node_id) const override {
     return false;
   }
-  void step(graph::node_id node, bool h, support::rng&) override {
+  void step(graph::node_id node, bool h, support::node_stream) override {
     heard[node] = h;
     if (node == n_ - 1) ++round_;
   }

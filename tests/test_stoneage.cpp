@@ -31,9 +31,9 @@ class census_probe final : public automaton {
   [[nodiscard]] bool is_leader(state_id state) const override {
     return state == 0;
   }
-  [[nodiscard]] state_id transition(state_id state,
-                                    std::span<const std::uint32_t> counts,
-                                    support::rng& /*rng*/) const override {
+  [[nodiscard]] state_id transition(
+      state_id state, std::span<const std::uint32_t> counts,
+      support::node_stream /*rng*/) const override {
     if (state == 0) return 0;
     if (state == 1) return static_cast<state_id>(2 + counts[1]);
     return state;  // recorders latch their first census

@@ -587,7 +587,7 @@ class wide_stone_automaton final : public stoneage::automaton {
   }
   [[nodiscard]] stoneage::state_id transition(
       stoneage::state_id state, std::span<const std::uint32_t> counts,
-      support::rng& rng) const override {
+      support::node_stream rng) const override {
     const bool heard = machine_.beeps(state) || counts[1] > 0;
     return heard ? machine_.delta_top(state, rng)
                  : machine_.delta_bot(state, rng);
