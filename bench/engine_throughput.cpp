@@ -28,6 +28,7 @@
 #include <cstdio>
 
 #include "analysis/experiment.hpp"
+#include "baselines/id_broadcast.hpp"
 #include "beeping/engine.hpp"
 #include "core/bfw.hpp"
 #include "core/bfw_stoneage.hpp"
@@ -123,9 +124,9 @@ void run_bfw_rounds_latency(benchmark::State& state, const graph::graph& g,
   set_exec_label(state, sim);
 }
 
-// The packed engine with the table-driven fast path disabled: per-node
-// virtual protocol::step/beeping/is_leader dispatch, exactly the
-// pre-fast-path hot loop.
+// The packed engine with the table-driven fast path disabled: the
+// reference gear, one fsm_protocol::step_round per round replaying the
+// machine's rows node by node.
 void run_bfw_rounds_virtual(benchmark::State& state, const graph::graph& g) {
   const core::bfw_machine machine(0.5);
   beeping::fsm_protocol proto(machine);
@@ -342,6 +343,28 @@ void BM_TimeoutBfwT9OnGridVirtual(benchmark::State& state) {
   run_timeout_bfw_rounds(state, g, false);
 }
 BENCHMARK(BM_TimeoutBfwT9OnGridVirtual)->Arg(16)->Arg(64);
+
+// The generic-protocol gear: the unique-ID baseline of Table 1 driven
+// through the round-level protocol interface (one step_round and one
+// write_beeps call per round, bit-sliced phase rules inside). Each
+// iteration is one whole election on a fresh engine - ID draw, bit-plane
+// transpose and all bits * (D + 1) rounds - so the rows time the column
+// as the sweeps run it. Items are node-rounds.
+void BM_IdBroadcastOnPath(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto g = graph::make_path(n);
+  const auto diameter = static_cast<std::uint32_t>(n - 1);
+  std::int64_t node_rounds = 0;
+  for (auto _ : state) {
+    baselines::id_broadcast_election proto(diameter);
+    beeping::engine sim(g, proto, 42);
+    sim.run_rounds(proto.termination_round());
+    benchmark::DoNotOptimize(sim.leader_count());
+    node_rounds += static_cast<std::int64_t>(n * proto.termination_round());
+  }
+  state.SetItemsProcessed(node_rounds);
+}
+BENCHMARK(BM_IdBroadcastOnPath)->Arg(1024);
 
 // XL single-trial rows: the intra-trial tiled round pipeline
 // (engine::set_parallelism) on instances big enough that one trial can

@@ -1,5 +1,6 @@
 #include "baselines/clique_lottery.hpp"
 
+#include <bit>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -20,35 +21,54 @@ void clique_lottery::reset(std::size_t node_count,
   const double t = (2.0 * std::log2(n) + std::log2(1.0 / epsilon_)) /
                    std::log2(4.0 / 3.0);
   budget_ = static_cast<std::uint64_t>(std::ceil(t));
-  nodes_.assign(node_count, node_state{});
+  round_ = 0;
+  candidate_.assign((node_count + 63) / 64, ~0ULL);
+  if (node_count % 64 != 0) {
+    candidate_.back() = (1ULL << (node_count % 64)) - 1;
+  }
+  beep_now_.assign(candidate_.size(), 0);
 }
 
-bool clique_lottery::beeping(graph::node_id node) const {
-  return nodes_[node].beep_now;
+std::size_t clique_lottery::write_beeps(std::span<std::uint64_t> beep) const {
+  std::size_t leaders = 0;
+  for (std::size_t w = 0; w < candidate_.size(); ++w) {
+    beep[w] = beep_now_[w];
+    leaders += static_cast<std::size_t>(std::popcount(candidate_[w]));
+  }
+  return leaders;
 }
 
 bool clique_lottery::is_leader(graph::node_id node) const {
-  return nodes_[node].candidate;
+  return ((candidate_[node >> 6] >> (node & 63)) & 1ULL) != 0;
 }
 
-void clique_lottery::step(graph::node_id node, bool heard,
-                          support::node_stream node_rng) {
-  node_state& s = nodes_[node];
-  const bool listened = s.candidate && !s.beep_now;
-  // Withdrawal: a listening candidate that heard a competitor loses.
-  if (listened && heard) {
-    s.candidate = false;
-  }
-  ++s.round;
-  // Coin for the next round; quiescent after the budget (termination
+void clique_lottery::step_round(std::span<const std::uint64_t> heard,
+                                const support::rng_source& rngs) {
+  ++round_;
+  // Coins for the next round; quiescent after the budget (termination
   // by round counting - this is where knowledge of n is consumed).
-  s.beep_now = s.candidate && s.round <= budget_ && node_rng.coin();
+  const bool flip = round_ <= budget_;
+  for (std::size_t w = 0; w < candidate_.size(); ++w) {
+    // Withdrawal: a listening candidate that heard a competitor loses.
+    const std::uint64_t listened = candidate_[w] & ~beep_now_[w];
+    candidate_[w] &= ~(listened & heard[w]);
+    std::uint64_t next = 0;
+    if (flip) {
+      for (std::uint64_t bits = candidate_[w]; bits != 0; bits &= bits - 1) {
+        const int i = std::countr_zero(bits);
+        if (rngs.coin((w << 6) + static_cast<std::size_t>(i))) {
+          next |= 1ULL << i;
+        }
+      }
+    }
+    beep_now_[w] = next;
+  }
 }
 
 std::string clique_lottery::describe(graph::node_id node) const {
-  const node_state& s = nodes_[node];
+  const bool beep_now = ((beep_now_[node >> 6] >> (node & 63)) & 1ULL) != 0;
   std::ostringstream out;
-  out << (s.candidate ? "C" : ".") << (s.beep_now ? "!" : " ");
+  out << (is_leader(node) ? "C" : ".") << (beep_now ? "!" : " ");
   return out.str();
 }
 

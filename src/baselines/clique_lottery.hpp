@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,10 +37,10 @@ class clique_lottery final : public beeping::protocol {
   explicit clique_lottery(double epsilon);
 
   void reset(std::size_t node_count, support::rng& init_rng) override;
-  [[nodiscard]] bool beeping(graph::node_id node) const override;
+  std::size_t write_beeps(std::span<std::uint64_t> beep) const override;
+  void step_round(std::span<const std::uint64_t> heard,
+                  const support::rng_source& rngs) override;
   [[nodiscard]] bool is_leader(graph::node_id node) const override;
-  void step(graph::node_id node, bool heard,
-            support::node_stream node_rng) override;
   [[nodiscard]] std::string describe(graph::node_id node) const override;
   [[nodiscard]] std::string name() const override;
 
@@ -47,15 +48,12 @@ class clique_lottery final : public beeping::protocol {
   [[nodiscard]] std::uint64_t round_budget() const noexcept { return budget_; }
 
  private:
-  struct node_state {
-    bool candidate = true;
-    bool beep_now = false;   ///< Decided by last round's coin.
-    std::uint64_t round = 0; ///< Local round counter (synchronized).
-  };
-
   double epsilon_;
   std::uint64_t budget_ = 0;
-  std::vector<node_state> nodes_;
+  std::uint64_t round_ = 0;  ///< Local round counter (synchronized).
+  // Packed node sets: bit u of word u/64 is node u.
+  std::vector<std::uint64_t> candidate_;
+  std::vector<std::uint64_t> beep_now_;  ///< Decided by last round's coin.
 };
 
 }  // namespace beepkit::baselines

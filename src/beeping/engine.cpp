@@ -282,13 +282,13 @@ void engine::refresh_round_state() {
   // it re-engages on the next dense round.
   if (fsm_ != nullptr) fsm_->ensure_states_fresh();
   plane_mode_ = false;
-  leader_count_ = 0;
-  std::fill(beep_words_.begin(), beep_words_.end(), 0);
   beep_flags_valid_ = false;  // byte mirror rebuilt lazily on demand
   if (fsm_ != nullptr) {
     // Table-driven refresh (states are fresh, see above): zero virtual
     // calls; also rebuilds the active set the fused round sweep relies
     // on, in every gear, so the fast path can resume at any round.
+    leader_count_ = 0;
+    std::fill(beep_words_.begin(), beep_words_.end(), 0);
     const machine_table& table = *table_;
     const std::span<state_id> states = fsm_->raw_states();
     std::fill(active_words_.begin(), active_words_.end(), 0);
@@ -302,12 +302,14 @@ void engine::refresh_round_state() {
       if (table.bot_identity[s] == 0) set_bit(active_words_, u);
     }
   } else {
-    for (graph::node_id u = 0; u < n; ++u) {
-      if (proto_->beeping(u)) {
-        ++beep_counts_[u];
-        set_bit(beep_words_, u);
+    // Generic protocol: one round-level call writes B_t; the ledger
+    // walks its set bits.
+    leader_count_ = proto_->write_beeps(beep_words_);
+    for (std::size_t w = 0; w < beep_words_.size(); ++w) {
+      for (std::uint64_t bits = beep_words_[w]; bits != 0; bits &= bits - 1) {
+        ++beep_counts_[(w << 6) +
+                       static_cast<std::size_t>(std::countr_zero(bits))];
       }
-      if (proto_->is_leader(u)) ++leader_count_;
     }
   }
   if (fsm_ != nullptr) synced_version_ = fsm_->config_version();
@@ -947,28 +949,11 @@ void engine::notify_round_observers() {
 // Phase 2 + bookkeeping shared by step() and step_reference(); expects
 // heard_words_ to hold the delta_top set for the current round.
 void engine::finish_step() {
-  const std::size_t n = n_;
   rngs_.sync_all();
-  const support::rng_source rngs = rngs_.source();
-  if (fsm_ != nullptr) {
-    // Guard-free reference gear: fsm_protocol::step re-checks the
-    // lazy-state guard on every call (~10-15% of a reference round);
-    // one freshness check up front buys the whole sweep, which then
-    // replays the machine's own silent/heard rows per node on the raw
-    // vector (not the interleaved table the fast gears run).
-    fsm_->ensure_states_fresh();
-    const state_machine& machine = fsm_->machine();
-    state_id* const states = fsm_->raw_states().data();
-    for (graph::node_id u = 0; u < n; ++u) {
-      const support::node_stream rng(rngs, u);
-      states[u] = test_bit(heard_words_, u) ? machine.delta_top(states[u], rng)
-                                            : machine.delta_bot(states[u], rng);
-    }
-  } else {
-    for (graph::node_id u = 0; u < n; ++u) {
-      proto_->step(u, test_bit(heard_words_, u), support::node_stream(rngs, u));
-    }
-  }
+  // One round-level call for every protocol. An fsm_protocol replays
+  // its machine's own silent/heard rows node by node (not the
+  // interleaved table the fast gears run) - the reference gear.
+  proto_->step_round(heard_words_, rngs_.source());
   ++round_;
   refresh_round_state();
   // The refresh counted crashed lanes as if alive (their lanes

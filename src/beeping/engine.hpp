@@ -380,10 +380,12 @@ class engine : private fsm_protocol::lazy_source {
   /// round, whichever comes first (both write the scratch back).
   [[nodiscard]] support::rng& node_rng(graph::node_id u) { return rngs_[u]; }
 
-  /// Forces the reference gear (`enabled == false`: per-node rule
-  /// replay, or per-node virtual protocol calls for non-FSM protocols)
-  /// or re-enables the table-driven FSM fast path. Toggling never
-  /// changes any number - both paths are bit-identical - only the speed.
+  /// Forces the reference gear (`enabled == false`: one
+  /// protocol::step_round per round, which for an fsm_protocol replays
+  /// the machine's rows node by node; non-FSM protocols always run
+  /// there) or re-enables the table-driven FSM fast path. Toggling
+  /// never changes any number - both paths are bit-identical - only
+  /// the speed.
   void set_fast_path_enabled(bool enabled);
   /// True iff rounds currently run through the compiled table: the
   /// protocol is an fsm_protocol and the path has not been disabled.

@@ -40,9 +40,15 @@ void fsm_protocol::reset_deferred(std::size_t node_count) {
   ++config_version_;
 }
 
-bool fsm_protocol::beeping(graph::node_id node) const {
+std::size_t fsm_protocol::write_beeps(std::span<std::uint64_t> beep) const {
   materialize();
-  return machine_->beeps(states_[node]);
+  std::fill(beep.begin(), beep.end(), 0);
+  std::size_t leaders = 0;
+  for (std::size_t u = 0; u < states_.size(); ++u) {
+    if (machine_->beeps(states_[u])) beep[u >> 6] |= 1ULL << (u & 63);
+    if (machine_->is_leader(states_[u])) ++leaders;
+  }
+  return leaders;
 }
 
 bool fsm_protocol::is_leader(graph::node_id node) const {
@@ -50,11 +56,17 @@ bool fsm_protocol::is_leader(graph::node_id node) const {
   return machine_->is_leader(states_[node]);
 }
 
-void fsm_protocol::step(graph::node_id node, bool heard,
-                        support::node_stream node_rng) {
+void fsm_protocol::step_round(std::span<const std::uint64_t> heard,
+                              const support::rng_source& rngs) {
   materialize();  // the vector becomes truth before it is mutated
-  states_[node] = heard ? machine_->delta_top(states_[node], node_rng)
-                        : machine_->delta_bot(states_[node], node_rng);
+  const state_machine& machine = *machine_;
+  state_id* const states = states_.data();
+  for (std::size_t u = 0, n = states_.size(); u < n; ++u) {
+    const support::node_stream rng(rngs, u);
+    states[u] = ((heard[u >> 6] >> (u & 63)) & 1ULL) != 0
+                    ? machine.delta_top(states[u], rng)
+                    : machine.delta_bot(states[u], rng);
+  }
 }
 
 std::string fsm_protocol::describe(graph::node_id node) const {

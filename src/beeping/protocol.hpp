@@ -13,7 +13,9 @@
 //    finite-state machine, anonymous and uniform, held as transition
 //    rows plus their compiled table. BFW (src/core/bfw.hpp) is one of
 //    these.
-//  * `protocol` - a generic per-node behaviour interface, which also
+//  * `protocol` - a generic round-level behaviour interface (the
+//    packed heard set in, the packed beep set out, one call each per
+//    round), which also
 //    accommodates the unbounded-state baselines of Table 1 (unique IDs,
 //    phase counters). `fsm_protocol` adapts any state_machine to it.
 #pragma once
@@ -208,8 +210,12 @@ class state_machine {
   machine_table table_;
 };
 
-/// Generic per-node protocol behaviour driven by `engine`. One protocol
-/// instance owns the states of all nodes of one simulation.
+/// Generic protocol behaviour driven by `engine`, one round at a time.
+/// One protocol instance owns the states of all nodes of one
+/// simulation. Rounds cross this interface as packed node sets (bit u
+/// of word u/64 is node u; bits past the node count are zero), so a
+/// protocol whose nodes move in lockstep can run a round as a handful
+/// of word ops instead of one call per node.
 class protocol {
  public:
   virtual ~protocol() = default;
@@ -219,17 +225,21 @@ class protocol {
   /// protocols ignore it.
   virtual void reset(std::size_t node_count, support::rng& init_rng) = 0;
 
-  /// Whether `node` beeps in the current round.
-  [[nodiscard]] virtual bool beeping(graph::node_id node) const = 0;
+  /// Writes the current round's beep set B_t into `beep` (every word,
+  /// ceil(n/64) of them; bits past the node count zero) and returns the
+  /// number of nodes currently in a leader state.
+  virtual std::size_t write_beeps(std::span<std::uint64_t> beep) const = 0;
+
+  /// Advances every node to its next-round state. `heard` is the
+  /// delta_top set: node u's bit is set iff u beeped itself or at least
+  /// one neighbor beeped. Node u draws only from stream u of `rngs`
+  /// (rngs.coin(u), ...), so the per-node draw sequences do not depend
+  /// on the order nodes are visited in.
+  virtual void step_round(std::span<const std::uint64_t> heard,
+                          const support::rng_source& rngs) = 0;
 
   /// Whether `node` currently occupies a leader state.
   [[nodiscard]] virtual bool is_leader(graph::node_id node) const = 0;
-
-  /// Advances `node` to its next-round state. `heard` is true iff the
-  /// node beeped itself or at least one neighbor beeped (the delta_top
-  /// condition).
-  virtual void step(graph::node_id node, bool heard,
-                    support::node_stream node_rng) = 0;
 
   /// Short human-readable state label (for traces/visualization).
   [[nodiscard]] virtual std::string describe(graph::node_id node) const = 0;
@@ -246,7 +256,7 @@ class protocol {
 /// authoritative state representation and the uint16 vector here is a
 /// cache. The engine registers a `lazy_source` and marks the vector
 /// stale after each plane round; the first outside read (states(),
-/// state_of, beeping, is_leader, describe - or a virtual step) unpacks
+/// state_of, is_leader, describe, write_beeps - or a step_round) unpacks
 /// the planes on demand. Rounds nobody observes therefore pay zero
 /// state write-back; a reader every round degrades gracefully to one
 /// O(n/64 word-transpose) unpack per round, the cost the eager
@@ -276,10 +286,14 @@ class fsm_protocol final : public protocol {
   /// become the authority at round 0. The vector is sized lazily on
   /// the first outside read.
   void reset_deferred(std::size_t node_count);
-  [[nodiscard]] bool beeping(graph::node_id node) const override;
+  /// Per-node table lookups over the state vector. The beeping engine
+  /// never calls these two on an fsm_protocol (it runs the machine's
+  /// table itself); the radio engine does.
+  std::size_t write_beeps(std::span<std::uint64_t> beep) const override;
+  /// Replays delta_top/delta_bot node by node, in ascending order.
+  void step_round(std::span<const std::uint64_t> heard,
+                  const support::rng_source& rngs) override;
   [[nodiscard]] bool is_leader(graph::node_id node) const override;
-  void step(graph::node_id node, bool heard,
-            support::node_stream node_rng) override;
   [[nodiscard]] std::string describe(graph::node_id node) const override;
   [[nodiscard]] std::string name() const override { return machine_->name(); }
 
@@ -371,9 +385,9 @@ class fsm_protocol final : public protocol {
   }
 
  private:
-  // Hot guard + cold unpack split: the per-node virtual accessors
-  // (step/beeping/is_leader) sit in tight reference loops, so the
-  // fresh case must cost exactly one predictable branch.
+  // Hot guard + cold unpack split: the per-node accessors (is_leader,
+  // state_of) sit in tight loops, so the fresh case must cost exactly
+  // one predictable branch.
   void materialize() const {
     if (states_stale_) [[unlikely]] {
       materialize_cold();

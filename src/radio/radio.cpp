@@ -1,5 +1,7 @@
 #include "radio/radio.hpp"
 
+#include <algorithm>
+
 namespace beepkit::radio {
 
 engine::engine(const graph::graph& g, beeping::protocol& proto,
@@ -8,42 +10,37 @@ engine::engine(const graph::graph& g, beeping::protocol& proto,
   const std::size_t n = g.node_count();
   rngs_ = support::rng_store::dense(seed, n + 1);
   proto_->reset(n, rngs_[n]);
-  transmitting_.assign(n, 0);
+  transmit_words_.assign((n + 63) / 64, 0);
+  heard_words_.assign(transmit_words_.size(), 0);
   receptions_.assign(n, reception::silence);
   refresh_round_state();
 }
 
 void engine::refresh_round_state() {
-  const std::size_t n = g_->node_count();
-  leader_count_ = 0;
-  for (graph::node_id u = 0; u < n; ++u) {
-    transmitting_[u] = proto_->beeping(u) ? 1 : 0;
-    if (proto_->is_leader(u)) ++leader_count_;
-  }
+  leader_count_ = proto_->write_beeps(transmit_words_);
 }
 
 void engine::step() {
   const std::size_t n = g_->node_count();
-  const support::rng_source rngs = rngs_.source();
+  std::fill(heard_words_.begin(), heard_words_.end(), 0);
   for (graph::node_id u = 0; u < n; ++u) {
     unsigned transmitters = 0;
     for (graph::node_id v : g_->neighbors(u)) {
-      if (transmitting_[v] != 0 && ++transmitters == 2) break;
+      if (transmitting(v) && ++transmitters == 2) break;
     }
     receptions_[u] = transmitters == 0
                          ? reception::silence
                          : (transmitters == 1 ? reception::single
                                               : reception::collision);
-  }
-  for (graph::node_id u = 0; u < n; ++u) {
     // The delta_top condition of the driven protocol: own transmission
     // always counts; a reception counts when it is a clean message, or
     // any energy on the channel when the receiver has CD.
     const bool heard =
-        transmitting_[u] != 0 || receptions_[u] == reception::single ||
+        transmitting(u) || receptions_[u] == reception::single ||
         (cd_ && receptions_[u] == reception::collision);
-    proto_->step(u, heard, support::node_stream(rngs, u));
+    if (heard) heard_words_[u >> 6] |= 1ULL << (u & 63);
   }
+  proto_->step_round(heard_words_, rngs_.source());
   ++round_;
   refresh_round_state();
 }

@@ -20,9 +20,11 @@
 //     Lemma 9 floor is lost; the bench quantifies how much collision
 //     detection is worth.
 //
-// Implementation note: the engine drives the same beeping::protocol
-// interface; only the `heard` predicate differs. A node that transmits
-// always knows it did (its own signal never counts as a reception).
+// Implementation note: the engine drives the same round-level
+// beeping::protocol interface (packed transmit and heard sets, one
+// step_round per round); only the `heard` predicate differs. A node
+// that transmits always knows it did (its own signal never counts as
+// a reception).
 #pragma once
 
 #include <cstdint>
@@ -69,7 +71,7 @@ class engine {
   }
   [[nodiscard]] graph::node_id sole_leader() const;
   [[nodiscard]] bool transmitting(graph::node_id u) const {
-    return transmitting_[u] != 0;
+    return ((transmit_words_[u >> 6] >> (u & 63)) & 1ULL) != 0;
   }
   /// Receiver verdict of the current round (computed during step();
   /// meaningful for the *previous* round after a step). Exposed for
@@ -86,7 +88,10 @@ class engine {
   beeping::protocol* proto_;
   bool cd_;
   support::rng_store rngs_;
-  std::vector<std::uint8_t> transmitting_;
+  // Packed node sets (bit u of word u/64 is node u): the protocol's
+  // beep set, and the delta_top set handed to its step_round.
+  std::vector<std::uint64_t> transmit_words_;
+  std::vector<std::uint64_t> heard_words_;
   std::vector<reception> receptions_;
   std::uint64_t round_ = 0;
   std::size_t leader_count_ = 0;

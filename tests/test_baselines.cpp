@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "baselines/clique_lottery.hpp"
 #include "baselines/id_broadcast.hpp"
@@ -108,6 +109,113 @@ TEST(IdBroadcastTest, SingleNode) {
   EXPECT_EQ(sim.leader_count(), 1U);
 }
 
+// Per-node scalar model of the ID-broadcast phase rules: every node
+// keeps its own phase counters and flags and steps on its own heard
+// bit, with no word ops. The protocol's packed round must match it
+// bit for bit.
+class id_broadcast_model {
+ public:
+  id_broadcast_model(const graph::graph& g, const id_broadcast_election& proto,
+                     std::uint32_t diameter_bound)
+      : g_(&g), d_(diameter_bound), nodes_(g.node_count()) {
+    for (graph::node_id u = 0; u < g.node_count(); ++u) {
+      nodes_[u].id = proto.id_of(u);
+      nodes_[u].bit = proto.bits() - 1;
+    }
+  }
+
+  [[nodiscard]] bool beeping(graph::node_id u) const {
+    const node& s = nodes_[u];
+    const bool initiates = !s.finished && s.candidate && s.r == 0 &&
+                           ((s.id >> s.bit) & 1U) != 0;
+    return s.relay_pending || initiates;
+  }
+  [[nodiscard]] bool candidate(graph::node_id u) const {
+    return nodes_[u].candidate;
+  }
+
+  void step() {
+    const std::size_t n = nodes_.size();
+    std::vector<bool> beeped(n);
+    for (graph::node_id u = 0; u < n; ++u) beeped[u] = beeping(u);
+    for (graph::node_id u = 0; u < n; ++u) {
+      bool heard = beeped[u];
+      for (graph::node_id v : g_->neighbors(u)) heard = heard || beeped[v];
+      node& s = nodes_[u];
+      if (s.finished) continue;
+      s.relay_pending = false;
+      if (heard && !s.heard_this_phase) {
+        s.heard_this_phase = true;
+        if (!beeped[u] && !s.relayed && s.r < d_) {
+          s.relay_pending = true;
+          s.relayed = true;
+        }
+      }
+      if (s.r < d_) {
+        ++s.r;
+        continue;
+      }
+      if (s.candidate && ((s.id >> s.bit) & 1U) == 0 && s.heard_this_phase) {
+        s.candidate = false;
+      }
+      s.heard_this_phase = s.relay_pending = s.relayed = false;
+      s.r = 0;
+      if (s.bit == 0) {
+        s.finished = true;
+      } else {
+        --s.bit;
+      }
+    }
+  }
+
+ private:
+  struct node {
+    std::uint64_t id = 0;
+    std::uint32_t bit = 0;
+    std::uint32_t r = 0;
+    bool candidate = true;
+    bool heard_this_phase = false;
+    bool relay_pending = false;
+    bool relayed = false;
+    bool finished = false;
+  };
+  const graph::graph* g_;
+  std::uint32_t d_;
+  std::vector<node> nodes_;
+};
+
+TEST(IdBroadcastTest, PackedVsScalar) {
+  // Word-boundary sizes, with D exact and over-estimated - and
+  // under-estimated: only then can a node first hear a wave in the
+  // phase's verdict round, and the rules still define every round.
+  for (const std::size_t n : {1UL, 63UL, 64UL, 65UL, 130UL, 1000UL}) {
+    const auto g = n == 1000 ? graph::make_grid(25, 40) : graph::make_path(n);
+    const std::uint32_t diameter = graph::diameter_exact(g);
+    for (const std::uint32_t bound :
+         {diameter, 2 * diameter + 3, diameter / 2}) {
+      id_broadcast_election proto(bound);
+      beeping::engine sim(g, proto, n + bound);
+      id_broadcast_model model(g, proto, bound);
+      for (std::uint64_t round = 0; round <= proto.termination_round() + 2;
+           ++round) {
+        for (graph::node_id u = 0; u < n; ++u) {
+          ASSERT_EQ(sim.beeping(u), model.beeping(u))
+              << "n=" << n << " D<=" << bound << " round " << round
+              << " node " << u;
+          ASSERT_EQ(proto.is_leader(u), model.candidate(u))
+              << "n=" << n << " D<=" << bound << " round " << round
+              << " node " << u;
+        }
+        sim.step();
+        model.step();
+      }
+      if (bound >= diameter) {
+        EXPECT_EQ(sim.leader_count(), 1U) << "n=" << n << " D<=" << bound;
+      }
+    }
+  }
+}
+
 // --- Clique lottery --------------------------------------------------------
 
 TEST(CliqueLotteryTest, ParameterValidation) {
@@ -169,6 +277,32 @@ TEST(CliqueLotteryTest, BudgetGrowsWithNAndPrecision) {
   small.reset(10, init);
   large.reset(10000, init);
   EXPECT_GT(large.round_budget(), small.round_budget());
+}
+
+TEST(CliqueLotteryTest, PinnedCoins) {
+  // Winner and coin totals of fixed seeds, pinned to the per-node
+  // implementation's values: every node's stream must draw exactly
+  // what it drew before, one coin per candidate per round up to the
+  // budget.
+  struct pin {
+    std::size_t n;
+    graph::node_id winner;
+    std::uint64_t rounds;
+    std::uint64_t coins_at_election;
+    std::uint64_t coins_after_budget;
+  };
+  for (const pin& p : {pin{32, 7, 6, 66, 101}, pin{130, 107, 10, 275, 315}}) {
+    const auto g = graph::make_complete(p.n);
+    clique_lottery proto(0.01);
+    beeping::engine sim(g, proto, 7);
+    const auto result = sim.run_until_single_leader(proto.round_budget() + 2);
+    ASSERT_TRUE(result.converged) << "n=" << p.n;
+    EXPECT_EQ(result.rounds, p.rounds) << "n=" << p.n;
+    EXPECT_EQ(sim.sole_leader(), p.winner) << "n=" << p.n;
+    EXPECT_EQ(sim.total_coins_consumed(), p.coins_at_election) << "n=" << p.n;
+    sim.run_rounds(proto.round_budget() + 5 - sim.round());
+    EXPECT_EQ(sim.total_coins_consumed(), p.coins_after_budget) << "n=" << p.n;
+  }
 }
 
 TEST(CliqueLotteryTest, FailsOnMultiHopGraphs) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/bfw.hpp"
@@ -21,18 +22,22 @@ class probe_protocol final : public protocol {
     round_ = 0;
     heard_log_.clear();
   }
-  [[nodiscard]] bool beeping(graph::node_id node) const override {
-    return node == 0 && round_ % 2 == 0;
+  std::size_t write_beeps(std::span<std::uint64_t> beep) const override {
+    std::fill(beep.begin(), beep.end(), 0);
+    if (n_ != 0 && round_ % 2 == 0) beep[0] = 1;  // node 0 only
+    return n_ != 0 ? 1 : 0;                       // node 0 leads
   }
   [[nodiscard]] bool is_leader(graph::node_id node) const override {
     return node == 0;
   }
-  void step(graph::node_id node, bool heard,
-            support::node_stream /*node_rng*/) override {
+  void step_round(std::span<const std::uint64_t> heard,
+                  const support::rng_source& /*rngs*/) override {
     if (heard_log_.size() <= round_) heard_log_.resize(round_ + 1);
     heard_log_[round_].resize(n_);
-    heard_log_[round_][node] = heard;
-    if (node == n_ - 1) ++round_;  // engine steps nodes in order
+    for (std::size_t u = 0; u < n_; ++u) {
+      heard_log_[round_][u] = ((heard[u >> 6] >> (u & 63)) & 1ULL) != 0;
+    }
+    ++round_;
   }
   [[nodiscard]] std::string describe(graph::node_id) const override {
     return "probe";

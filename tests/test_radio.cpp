@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "beeping/engine.hpp"
 #include "core/bfw.hpp"
 #include "graph/generators.hpp"
@@ -25,19 +27,22 @@ class fixed_transmitters final : public beeping::protocol {
     round_ = 0;
     heard.assign(node_count, false);
   }
-  [[nodiscard]] bool beeping(graph::node_id node) const override {
-    if (round_ != 0) return false;
-    for (graph::node_id w : who_) {
-      if (w == node) return true;
+  std::size_t write_beeps(std::span<std::uint64_t> beep) const override {
+    std::fill(beep.begin(), beep.end(), 0);
+    if (round_ == 0) {
+      for (graph::node_id w : who_) beep[w >> 6] |= 1ULL << (w & 63);
     }
-    return false;
+    return 0;  // nobody leads
   }
   [[nodiscard]] bool is_leader(graph::node_id) const override {
     return false;
   }
-  void step(graph::node_id node, bool h, support::node_stream) override {
-    heard[node] = h;
-    if (node == n_ - 1) ++round_;
+  void step_round(std::span<const std::uint64_t> h,
+                  const support::rng_source&) override {
+    for (std::size_t u = 0; u < n_; ++u) {
+      heard[u] = ((h[u >> 6] >> (u & 63)) & 1ULL) != 0;
+    }
+    ++round_;
   }
   [[nodiscard]] std::string describe(graph::node_id) const override {
     return "fixed";
