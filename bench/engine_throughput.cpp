@@ -22,7 +22,8 @@
 // BM_BfwOnGridCompiledWidth sweeps the kernel batch width (1/2/4/8
 // words per vector op) on one fixed instance.
 // The RunTrials suite measures the parallel Monte-Carlo runner's
-// trials-per-second scaling across worker counts.
+// trials-per-second scaling across worker counts. The DiameterExact
+// rows time the exact-diameter set-up every Table-1 instance pays.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -34,6 +35,7 @@
 #include "core/bfw_stoneage.hpp"
 #include "core/invariants.hpp"
 #include "core/timeout_bfw.hpp"
+#include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "graph/view.hpp"
 #include "stoneage/stoneage.hpp"
@@ -608,6 +610,33 @@ void BM_TelemetryProbesOff(benchmark::State& state) {
   run_bfw_rounds_telemetry(state, false);
 }
 BENCHMARK(BM_TelemetryProbesOff);
+
+// Instance set-up: graph::diameter_exact (the bit-parallel multi-source
+// BFS) on the Table-1 shapes at n = 1024 - the clique, G(n, 6/n) and
+// the 8 x 128 grid. Items are BFS sources.
+enum class diameter_shape { complete, erdos_renyi, grid };
+
+void BM_DiameterExact(benchmark::State& state, diameter_shape shape) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  support::rng rng(7);
+  const graph::graph g =
+      shape == diameter_shape::complete ? graph::make_complete(n)
+      : shape == diameter_shape::grid
+          ? graph::make_grid(8, n / 8)
+          : graph::make_erdos_renyi_connected(
+                n, 6.0 / static_cast<double>(n), rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(graph::diameter_exact(g));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK_CAPTURE(BM_DiameterExact, complete, diameter_shape::complete)
+    ->Arg(1024)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_DiameterExact, erdos_renyi, diameter_shape::erdos_renyi)
+    ->Arg(1024)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_DiameterExact, grid, diameter_shape::grid)
+    ->Arg(1024)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -45,6 +45,7 @@ int main(int argc, char** argv) {
   const double p = args.get_double("p", 0.5);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 5));
   const std::size_t threads = args.get_threads();
+  args.reject_unused();
 
   std::printf("=== E2: Figure 1 - the BFW state machine, observed ===\n\n");
 

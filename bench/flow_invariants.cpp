@@ -37,6 +37,7 @@ int main(int argc, char** argv) {
   const auto rounds = static_cast<std::uint64_t>(args.get_int("rounds", 400));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 6));
   const std::size_t threads = args.get_threads();
+  args.reject_unused();
   analysis::throughput_meter meter;
 
   std::printf("=== E5: Section 3 flow invariants, checked live ===\n\n");

@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
   const auto trials = static_cast<std::size_t>(args.get_int("trials", 4000));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
   const std::size_t threads = args.get_threads();
+  args.reject_unused();
 
   std::printf("=== E6/E7: Section 4 probabilistic toolkit ===\n\n");
 

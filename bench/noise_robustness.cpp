@@ -91,6 +91,7 @@ int main(int argc, char** argv) {
   const auto trials = static_cast<std::size_t>(args.get_int("trials", 30));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 11));
   const std::size_t threads = args.get_threads();
+  args.reject_unused();
   analysis::throughput_meter meter;
 
   std::printf("=== EX1: BFW under reception noise (model extension) ===\n\n");

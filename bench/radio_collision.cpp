@@ -91,6 +91,7 @@ int main(int argc, char** argv) {
   const auto trials = static_cast<std::size_t>(args.get_int("trials", 25));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 14));
   const std::size_t threads = args.get_threads();
+  args.reject_unused();
   analysis::throughput_meter meter;
 
   std::printf("=== EX4: BFW across reception semantics (Section 1.4) "

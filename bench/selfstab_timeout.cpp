@@ -94,6 +94,7 @@ int main(int argc, char** argv) {
   const auto trials = static_cast<std::size_t>(args.get_int("trials", 20));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 12));
   const std::size_t threads = args.get_threads();
+  args.reject_unused();
   analysis::throughput_meter meter;
 
   std::printf("=== EX2: timeout-BFW vs the Section-5 counterexamples ===\n\n");

@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
   const auto rounds = static_cast<std::uint64_t>(args.get_int("rounds", 2000));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 8));
   const std::size_t threads = args.get_threads();
+  args.reject_unused();
   analysis::throughput_meter meter;
 
   std::printf("=== E12: BFW beeping-model vs stone-age-model equivalence "

@@ -40,6 +40,9 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2));
   const auto max_d = static_cast<std::uint32_t>(args.get_int("max-d", 64));
   const std::size_t threads = args.get_threads();
+  const sweep::options sweep_opts = sweep::options_from_cli(args);
+  const auto csv = args.get("csv");
+  args.reject_unused();
   analysis::throughput_meter meter;
 
   std::printf("=== E3: Theorem 2 - O(D^2 log n) for uniform BFW (p = 1/2) "
@@ -77,7 +80,6 @@ int main(int argc, char** argv) {
   }
 
   sweep::spec sweep_spec{"thm2_uniform_scaling", std::move(cells)};
-  const sweep::options sweep_opts = sweep::options_from_cli(args);
   sweep::shard_result sweep_result;
   try {
     sweep_result = sweep::run(sweep_spec, sweep_opts);
@@ -166,7 +168,7 @@ int main(int argc, char** argv) {
   if (!sweep_note.empty()) std::printf("\n%s", sweep_note.c_str());
   std::printf("\n%s\n", meter.summary(threads).c_str());
 
-  if (const auto csv = args.get("csv")) {
+  if (csv) {
     if (support::write_text_file(*csv, sweep_d.to_csv())) {
       std::printf("\ncsv (sweep 1) written to %s\n", csv->c_str());
     }

@@ -25,6 +25,8 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 3));
   const auto max_d = static_cast<std::uint32_t>(args.get_int("max-d", 128));
   const std::size_t threads = args.get_threads();
+  const auto csv = args.get("csv");
+  args.reject_unused();
   const analysis::run_options opts{threads};
   analysis::throughput_meter meter;
 
@@ -85,7 +87,7 @@ int main(int argc, char** argv) {
               "convergence.\n");
   std::printf("\n%s\n", meter.summary(threads).c_str());
 
-  if (const auto csv = args.get("csv")) {
+  if (csv) {
     if (support::write_text_file(*csv, sweep.to_csv())) {
       std::printf("\ncsv written to %s\n", csv->c_str());
     }

@@ -44,6 +44,9 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 4));
   const auto max_d = static_cast<std::uint32_t>(args.get_int("max-d", 128));
   const std::size_t threads = args.get_threads();
+  sweep::options sweep_opts = sweep::options_from_cli(args);
+  const auto csv = args.get("csv");
+  args.reject_unused();
   analysis::throughput_meter meter;
 
   std::printf("=== E8: Section 5 conjecture - two leaders on a path die in "
@@ -83,7 +86,6 @@ int main(int argc, char** argv) {
 
   std::vector<std::size_t> left_wins(cells.size(), 0);
   sweep::spec sweep_spec{"tightness_conjecture", std::move(cells)};
-  sweep::options sweep_opts = sweep::options_from_cli(args);
   sweep_opts.on_trial = [&left_wins](const sweep::unit& u,
                                      const core::election_outcome& outcome) {
     if (outcome.converged && outcome.leader == 0) ++left_wins[u.cell];
@@ -206,7 +208,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\n%s\n", meter.summary(threads).c_str());
 
-  if (const auto csv = args.get("csv")) {
+  if (csv) {
     if (support::write_text_file(*csv, sweep_table.to_csv())) {
       std::printf("\ncsv written to %s\n", csv->c_str());
     }

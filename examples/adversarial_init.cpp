@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
   const support::cli args(argc, argv);
   const auto n = static_cast<std::size_t>(args.get_int("n", 24));
   const auto rounds = static_cast<std::uint64_t>(args.get_int("rounds", 120));
+  args.reject_unused();
 
   const auto g = graph::make_cycle(n);
   const core::bfw_machine machine(0.5);

@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
   const double radius = args.get_double("radius", 0.12);
   const auto trials = static_cast<std::size_t>(args.get_int("trials", 20));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+  args.reject_unused();
 
   support::rng graph_rng(seed);
   const auto colony = graph::make_random_geometric(cells, radius, graph_rng);

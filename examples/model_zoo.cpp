@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
   const support::cli args(argc, argv);
   const auto n = static_cast<std::size_t>(args.get_int("n", 49));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 6));
+  args.reject_unused();
 
   const auto side = static_cast<std::size_t>(std::max(2.0, std::sqrt(n)));
   const auto g = graph::make_grid(side, side);

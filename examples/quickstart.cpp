@@ -22,6 +22,7 @@ int main(int argc, char** argv) {
   const auto cols = static_cast<std::size_t>(args.get_int("cols", 8));
   const double p = args.get_double("p", 0.5);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  args.reject_unused();
 
   // 1. A communication graph. Any connected undirected graph works;
   //    the library ships a dozen generators (see graph/generators.hpp).

@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   const support::cli args(argc, argv);
   const auto n = static_cast<std::size_t>(args.get_int("n", 64));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 5));
+  args.reject_unused();
 
   support::rng graph_rng(seed ^ 0x5707e);
   const auto g = graph::make_erdos_renyi_connected(n, 8.0 / static_cast<double>(n),

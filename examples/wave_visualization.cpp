@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
   const auto rounds = static_cast<std::uint64_t>(args.get_int("rounds", 80));
   const double p = args.get_double("p", 0.1);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 4));
+  args.reject_unused();
 
   const auto g = graph::make_path(n);
   const core::bfw_machine machine(p);

@@ -243,9 +243,12 @@ std::string throughput_meter::summary(std::size_t threads) const {
 
 instance make_instance(graph::graph g, std::size_t exact_limit) {
   instance inst;
-  const std::uint32_t diameter = g.node_count() <= exact_limit
-                                     ? graph::diameter_exact(g)
-                                     : graph::diameter_double_sweep(g);
+  // A tagged graph's geometry is validated where the tag is attached
+  // (generators, graph::io), so its closed form is the exact diameter.
+  const std::uint32_t diameter =
+      g.topology_tag().has_value() ? graph::topology_view(g).formula_diameter()
+      : g.node_count() <= exact_limit ? graph::diameter_exact(g)
+                                      : graph::diameter_double_sweep(g);
   inst.g = std::move(g);
   inst.diameter = diameter;
   return inst;

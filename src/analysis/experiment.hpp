@@ -147,8 +147,10 @@ struct instance {
   }
 };
 
-/// Computes the diameter (exact up to `exact_limit` nodes, double-sweep
-/// beyond) and bundles it with the graph.
+/// Computes the diameter and bundles it with the graph. A topology-tagged
+/// graph (path, ring, grid, torus) takes the tag's closed form at any
+/// size; an untagged one is exact up to `exact_limit` nodes and a
+/// double-sweep lower bound beyond.
 [[nodiscard]] instance make_instance(graph::graph g,
                                      std::size_t exact_limit = 4096);
 

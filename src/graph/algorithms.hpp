@@ -16,6 +16,7 @@ namespace beepkit::graph {
 inline constexpr std::uint32_t unreachable = 0xffffffffU;
 
 /// Single-source BFS distances (unreachable nodes get `unreachable`).
+/// The reference the multi-source BFS below is tested against.
 [[nodiscard]] std::vector<std::uint32_t> bfs_distances(const graph& g,
                                                        node_id source);
 
@@ -26,8 +27,10 @@ inline constexpr std::uint32_t unreachable = 0xffffffffU;
 /// connected, otherwise returns `unreachable`.
 [[nodiscard]] std::uint32_t eccentricity(const graph& g, node_id source);
 
-/// Exact diameter via all-sources BFS: O(n(n+m)). Fine for the sizes
-/// used in tests and experiments (n up to a few tens of thousands).
+/// Exact diameter via a bit-parallel multi-source BFS (64 sources per
+/// lane word): O(n(n+m)/64) word operations at worst, far less when the
+/// lanes share frontier nodes. Returns `unreachable` on a disconnected
+/// graph.
 [[nodiscard]] std::uint32_t diameter_exact(const graph& g);
 
 /// Lower bound on the diameter via a handful of double BFS sweeps;
@@ -36,7 +39,8 @@ inline constexpr std::uint32_t unreachable = 0xffffffffU;
 [[nodiscard]] std::uint32_t diameter_double_sweep(const graph& g,
                                                   int sweeps = 4);
 
-/// Full distance matrix (n x n); intended for test-sized graphs.
+/// Full distance matrix (n x n) through the same multi-source BFS;
+/// intended for test-sized graphs.
 [[nodiscard]] std::vector<std::vector<std::uint32_t>> distance_matrix(
     const graph& g);
 

@@ -17,9 +17,12 @@ graph::graph(std::size_t node_count, std::vector<edge> edges) {
     }
     if (e.u > e.v) std::swap(e.u, e.v);
   }
-  std::sort(edges.begin(), edges.end(), [](const edge& a, const edge& b) {
+  const auto lexicographic = [](const edge& a, const edge& b) {
     return std::pair(a.u, a.v) < std::pair(b.u, b.v);
-  });
+  };
+  if (!std::is_sorted(edges.begin(), edges.end(), lexicographic)) {
+    std::sort(edges.begin(), edges.end(), lexicographic);
+  }
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
 
   std::vector<std::size_t> degrees(node_count, 0);
@@ -34,14 +37,13 @@ graph::graph(std::size_t node_count, std::vector<edge> edges) {
   }
   adjacency_.resize(2 * edges.size());
 
+  // Scattering the sorted edge list leaves every row ascending: row x
+  // receives the u of each edge (u, x) first, in ascending u < x, then
+  // the w of each edge (x, w), in ascending w > x.
   std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
   for (const auto& e : edges) {
     adjacency_[cursor[e.u]++] = e.v;
     adjacency_[cursor[e.v]++] = e.u;
-  }
-  for (std::size_t u = 0; u < node_count; ++u) {
-    std::sort(adjacency_.begin() + static_cast<std::ptrdiff_t>(offsets_[u]),
-              adjacency_.begin() + static_cast<std::ptrdiff_t>(offsets_[u + 1]));
   }
 
   if (node_count > 0) {

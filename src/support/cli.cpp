@@ -1,15 +1,30 @@
 #include "support/cli.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 
 #include "support/parallel.hpp"
 
 namespace beepkit::support {
 
+namespace {
+
+[[noreturn]] void reject(const std::string& program, const std::string& name,
+                         const std::string& value, const char* expected) {
+  std::fprintf(stderr, "%s: invalid --%s '%s': expected %s\n",
+               program.c_str(), name.c_str(), value.c_str(), expected);
+  std::exit(2);
+}
+
+}  // namespace
+
 cli::cli(int argc, const char* const* argv,
-         std::initializer_list<const char*> switches) {
+         std::initializer_list<const char*> switches)
+    : program_(argc > 0 ? std::filesystem::path(argv[0]).filename().string()
+                        : "beepkit") {
   const auto is_switch = [&switches](const std::string& name) {
     for (const char* s : switches) {
       if (name == s) return true;
@@ -57,13 +72,35 @@ std::int64_t cli::get_int(const std::string& name,
                           std::int64_t fallback) const {
   const auto value = get(name);
   if (!value) return fallback;
-  return std::strtoll(value->c_str(), nullptr, 10);
+  const auto parsed = parse_int(*value);
+  if (!parsed) reject(program_, name, *value, "an integer");
+  return *parsed;
 }
 
 double cli::get_double(const std::string& name, double fallback) const {
   const auto value = get(name);
   if (!value) return fallback;
-  return std::strtod(value->c_str(), nullptr);
+  const auto parsed = parse_double(*value);
+  if (!parsed) reject(program_, name, *value, "a finite number");
+  return *parsed;
+}
+
+std::optional<std::int64_t> cli::parse_int(std::string_view text) {
+  std::int64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+std::optional<double> cli::parse_double(std::string_view text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 bool cli::get_bool(const std::string& name, bool fallback) const {
@@ -78,27 +115,14 @@ std::size_t cli::get_threads(std::int64_t fallback) const {
 
 std::optional<shard_spec> cli::parse_shard(const std::string& text) {
   const auto slash = text.find('/');
-  if (slash == std::string::npos || slash == 0 ||
-      slash + 1 == text.size()) {
-    return std::nullopt;
-  }
-  const std::string index_part = text.substr(0, slash);
-  const std::string count_part = text.substr(slash + 1);
-  const auto parse_u64 =
-      [](const std::string& part) -> std::optional<std::uint64_t> {
-    std::uint64_t value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(part.data(), part.data() + part.size(), value);
-    if (ec != std::errc() || ptr != part.data() + part.size()) {
-      return std::nullopt;
-    }
-    return value;
-  };
-  const auto index = parse_u64(index_part);
-  const auto count = parse_u64(count_part);
-  if (!index || !count) return std::nullopt;
-  if (*count == 0 || *index >= *count) return std::nullopt;
-  return shard_spec{*index, *count};
+  if (slash == std::string::npos || text.front() == '-') return std::nullopt;
+  const std::string_view view(text);
+  const auto index = parse_int(view.substr(0, slash));
+  const auto count = parse_int(view.substr(slash + 1));
+  // With no sign on the index, index < count also gives count >= 1.
+  if (!index || !count || *index >= *count) return std::nullopt;
+  return shard_spec{static_cast<std::uint64_t>(*index),
+                    static_cast<std::uint64_t>(*count)};
 }
 
 shard_spec cli::get_shard() const {
@@ -106,11 +130,7 @@ shard_spec cli::get_shard() const {
   if (!value) return shard_spec{};
   const auto parsed = parse_shard(*value);
   if (!parsed) {
-    std::fprintf(stderr,
-                 "invalid --shard '%s': expected i/N with N >= 1 and "
-                 "0 <= i < N\n",
-                 value->c_str());
-    std::exit(2);
+    reject(program_, "shard", *value, "i/N with N >= 1 and 0 <= i < N");
   }
   return *parsed;
 }
@@ -121,6 +141,16 @@ std::vector<std::string> cli::unused() const {
     if (!queried_.count(name)) leftover.push_back(name);
   }
   return leftover;
+}
+
+void cli::reject_unused() const {
+  const auto leftover = unused();
+  if (leftover.empty()) return;
+  std::string names;
+  for (const std::string& name : leftover) names += " --" + name;
+  std::fprintf(stderr, "%s: unknown flag%s:%s\n", program_.c_str(),
+               leftover.size() == 1 ? "" : "s", names.c_str());
+  std::exit(2);
 }
 
 }  // namespace beepkit::support

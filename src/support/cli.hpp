@@ -11,6 +11,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace beepkit::support {
@@ -28,8 +29,9 @@ struct shard_spec {
   [[nodiscard]] bool whole() const noexcept { return count == 1; }
 };
 
-/// Parsed flags. Unknown flags are collected rather than rejected so a
-/// harness can print a warning without aborting a long sweep.
+/// Parsed flags. Numeric getters reject malformed values, and a binary
+/// calls reject_unused() once it has read its flags, so a misspelt or
+/// unknown flag stops the launch instead of silently running defaults.
 class cli {
  public:
   /// `switches` names boolean flags that never consume a following
@@ -45,10 +47,20 @@ class cli {
 
   [[nodiscard]] std::string get_string(const std::string& name,
                                        const std::string& fallback) const;
+  /// Numeric flags: a value that parse_int / parse_double rejects
+  /// terminates the process with a message on stderr (exit status 2).
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
+
+  /// Strict parsers behind get_int / get_double: the whole text must be
+  /// one decimal number in std::from_chars syntax (no whitespace, no
+  /// leading '+'), in range; parse_double also refuses inf and nan.
+  [[nodiscard]] static std::optional<std::int64_t> parse_int(
+      std::string_view text);
+  [[nodiscard]] static std::optional<double> parse_double(
+      std::string_view text);
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 
   /// Worker count for the parallel trial runner: `--threads N`, where
@@ -80,7 +92,12 @@ class cli {
   /// useful for catching typos in sweep scripts.
   [[nodiscard]] std::vector<std::string> unused() const;
 
+  /// Terminates the process (exit status 2) naming every unused() flag.
+  /// Call it after the binary has queried all the flags it knows.
+  void reject_unused() const;
+
  private:
+  std::string program_;
   std::map<std::string, std::string> values_;
   std::vector<std::string> positionals_;
   mutable std::map<std::string, bool> queried_;

@@ -164,6 +164,47 @@ TEST(CliTest, UnusedFlagsReported) {
   EXPECT_EQ(leftover[0], "typo");
 }
 
+TEST(CliTest, ParseInt) {
+  EXPECT_EQ(cli::parse_int("42"), 42);
+  EXPECT_EQ(cli::parse_int("-7"), -7);
+  EXPECT_EQ(cli::parse_int("0"), 0);
+  EXPECT_FALSE(cli::parse_int("abc").has_value());
+  EXPECT_FALSE(cli::parse_int("").has_value());
+  EXPECT_FALSE(cli::parse_int("12x").has_value());
+  EXPECT_FALSE(cli::parse_int("1.5").has_value());
+  EXPECT_FALSE(cli::parse_int(" 3").has_value());
+  EXPECT_FALSE(cli::parse_int("+3").has_value());
+  EXPECT_FALSE(cli::parse_int("0x10").has_value());
+  EXPECT_FALSE(cli::parse_int("99999999999999999999").has_value());
+}
+
+TEST(CliTest, ParseDouble) {
+  EXPECT_EQ(cli::parse_double("0.25"), 0.25);
+  EXPECT_EQ(cli::parse_double("1e-3"), 1e-3);
+  EXPECT_EQ(cli::parse_double("-2"), -2.0);
+  EXPECT_FALSE(cli::parse_double("abc").has_value());
+  EXPECT_FALSE(cli::parse_double("0.5x").has_value());
+  EXPECT_FALSE(cli::parse_double("").has_value());
+  EXPECT_FALSE(cli::parse_double("nan").has_value());
+  EXPECT_FALSE(cli::parse_double("inf").has_value());
+  EXPECT_FALSE(cli::parse_double("1e999").has_value());
+}
+
+TEST(CliTest, BadFlagsExit) {
+  const char* argv[] = {"prog", "--threads", "abc", "--p=0.5q", "--typo=1"};
+  const cli args(5, argv);
+  EXPECT_EXIT((void)args.get_int("threads", 0),
+              ::testing::ExitedWithCode(2), "invalid --threads 'abc'");
+  EXPECT_EXIT((void)args.get_double("p", 0.5), ::testing::ExitedWithCode(2),
+              "invalid --p '0.5q'");
+  EXPECT_EXIT(args.reject_unused(), ::testing::ExitedWithCode(2),
+              "unknown flags: --p --threads --typo");
+  const char* known[] = {"prog", "--n=4"};
+  const cli ok(2, known);
+  EXPECT_EQ(ok.get_int("n", 0), 4);
+  ok.reject_unused();  // every flag was read: returns
+}
+
 TEST(CliTest, BooleanSwitchBeforeFlag) {
   const char* argv[] = {"prog", "--dry-run", "--n=4"};
   const cli args(3, argv);

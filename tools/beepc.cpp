@@ -311,10 +311,12 @@ int main(int argc, char** argv) {
   const support::cli args(argc, argv, {"no-builtins"});
   const std::filesystem::path out_dir =
       args.get_string("out-dir", "src/beeping/kernels");
+  const bool builtins = !args.get_bool("no-builtins", false);
+  args.reject_unused();
 
   std::vector<kernel_source> sources;
   try {
-    if (!args.get_bool("no-builtins", false)) {
+    if (builtins) {
       sources.push_back(make_source("bfw", core::bfw_spec(0.5)));
       sources.push_back(
           make_source("timeout_bfw_t9", core::timeout_bfw_spec(0.5, 9)));

@@ -160,13 +160,18 @@ int run_differential(std::uint64_t seed) {
 int main(int argc, char** argv) {
   const support::cli args(argc, argv, {"resume", "differential"});
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 11));
-  if (args.has("differential")) return run_differential(seed);
+  if (args.has("differential")) {
+    args.reject_unused();
+    return run_differential(seed);
+  }
 
   const auto trials = static_cast<std::size_t>(args.get_int("trials", 8));
   core::engine_exec exec;
   exec.threads =
       static_cast<std::size_t>(args.get_int("engine-threads", 1));
   exec.tile_words = static_cast<std::size_t>(args.get_int("tile-words", 0));
+  const sweep::options sweep_opts = sweep::options_from_cli(args);
+  args.reject_unused();
   std::printf("=== fault_sweep: faulted BFW cells on the sharded sweep ===\n\n");
 
   std::deque<analysis::instance> instances;
@@ -193,7 +198,6 @@ int main(int argc, char** argv) {
   add_cell(analysis::make_instance(graph::make_star(64)), corrupt_plan(), 16);
 
   sweep::spec sweep_spec{"fault_sweep", std::move(cells)};
-  const sweep::options sweep_opts = sweep::options_from_cli(args);
   sweep::shard_result sweep_result;
   try {
     sweep_result = sweep::run(sweep_spec, sweep_opts);

@@ -91,6 +91,7 @@ int main(int argc, char** argv) {
   options.first_touch = args.has("first-touch");
   const double p = args.get_double("p", 0.5);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  args.reject_unused();
 
   try {
     const core::bfw_machine machine(p);

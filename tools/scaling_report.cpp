@@ -157,6 +157,9 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(args.get_int("tile-words", 0));
   const auto max_threads =
       static_cast<std::size_t>(args.get_int("max-threads", 8));
+  const bool skip_giant = args.has("skip-giant");
+  const auto json_path = args.get("json");
+  args.reject_unused();
 
   const support::build_info& build = support::build_info::current();
   std::printf("build: %s\n\n", build.one_line().c_str());
@@ -172,7 +175,7 @@ int main(int argc, char** argv) {
     rows.push_back(run_row("grid:1024x1024", g, false, rounds, tile_words,
                            max_threads));
   }
-  if (!args.has("skip-giant")) {
+  if (!skip_giant) {
     const auto view = graph::topology_view::implicit(
         {graph::topology::kind::grid, 8192, 8192});
     rows.push_back(run_row("grid:8192x8192 (giant)", view, true, giant_rounds,
@@ -195,12 +198,13 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", table.to_string().c_str());
 
-  if (const auto path = args.get("json"); path.has_value()) {
-    if (!support::write_text_file(*path, to_json(rows).dump() + "\n")) {
-      std::fprintf(stderr, "scaling_report: cannot write %s\n", path->c_str());
+  if (json_path) {
+    if (!support::write_text_file(*json_path, to_json(rows).dump() + "\n")) {
+      std::fprintf(stderr, "scaling_report: cannot write %s\n",
+                   json_path->c_str());
       return 1;
     }
-    std::printf("\nreport written to %s\n", path->c_str());
+    std::printf("\nreport written to %s\n", json_path->c_str());
   }
   return 0;
 }

@@ -27,6 +27,10 @@ int main(int argc, char** argv) {
   using namespace beepkit;
   const support::cli args(argc, argv, {"quiet"});
   const std::vector<std::string>& inputs = args.positionals();
+  const bool quiet = args.get_bool("quiet", false);
+  const auto json_path = args.get("json");
+  const auto csv_path = args.get("csv");
+  args.reject_unused();
   if (inputs.empty()) {
     std::fprintf(stderr,
                  "usage: sweep_merge shard0.jsonl [shard1.jsonl ...] "
@@ -62,7 +66,7 @@ int main(int argc, char** argv) {
          support::table::num(stats.rounds.q95, 0),
          support::table::num(stats.mean_coins_per_node_round, 3)});
   }
-  if (!args.get_bool("quiet", false)) {
+  if (!quiet) {
     std::printf("%s", results.to_string().c_str());
     if (merged.duplicate_records != 0) {
       std::printf("(%llu identical duplicate records tolerated - "
@@ -71,24 +75,24 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (const auto json_path = args.get("json")) {
+  if (json_path) {
     const std::string text = sweep::merge_summary(merged).dump() + "\n";
     if (!support::write_text_file(*json_path, text)) {
       std::fprintf(stderr, "sweep_merge: cannot write %s\n",
                    json_path->c_str());
       return 1;
     }
-    if (!args.get_bool("quiet", false)) {
+    if (!quiet) {
       std::printf("json summary written to %s\n", json_path->c_str());
     }
   }
-  if (const auto csv_path = args.get("csv")) {
+  if (csv_path) {
     if (!support::write_text_file(*csv_path, results.to_csv())) {
       std::fprintf(stderr, "sweep_merge: cannot write %s\n",
                    csv_path->c_str());
       return 1;
     }
-    if (!args.get_bool("quiet", false)) {
+    if (!quiet) {
       std::printf("csv written to %s\n", csv_path->c_str());
     }
   }

@@ -99,6 +99,10 @@ int main(int argc, char** argv) {
   using namespace beepkit;
   const support::cli args(argc, argv, {"quiet"});
   const std::vector<std::string>& inputs = args.positionals();
+  const bool quiet = args.get_bool("quiet", false);
+  const auto csv_path = args.get("csv");
+  const auto prom_path = args.get("prom");
+  args.reject_unused();
   if (inputs.empty() || inputs.size() > 2) {
     std::fprintf(stderr,
                  "usage: telem_report snapshot.json [baseline.json "
@@ -194,18 +198,18 @@ int main(int argc, char** argv) {
   for (const table* t : {&counters, &gauges, &infos, &hists}) {
     if (t->row_count() != 0) rendered += t->to_string() + "\n";
   }
-  if (!args.get_bool("quiet", false)) {
+  if (!quiet) {
     std::printf("%s", rendered.c_str());
   }
 
-  if (const auto csv_path = args.get("csv")) {
+  if (csv_path) {
     if (!support::write_text_file(*csv_path, counters.to_csv())) {
       std::fprintf(stderr, "telem_report: cannot write %s\n",
                    csv_path->c_str());
       return 1;
     }
   }
-  if (const auto prom_path = args.get("prom")) {
+  if (prom_path) {
     if (!support::write_text_file(*prom_path, to_prometheus(*current))) {
       std::fprintf(stderr, "telem_report: cannot write %s\n",
                    prom_path->c_str());

@@ -173,6 +173,9 @@ int main(int argc, char** argv) {
   const bool strict = args.get_bool("strict", false);
   const bool block_catastrophic = args.get_bool("block-catastrophic", false);
   const double catastrophic = args.get_double("catastrophic", 0.50);
+  const auto scaling = args.get("scaling");
+  const auto csv = args.get("csv");
+  args.reject_unused();
 
   const auto baseline = load_report(args.positionals()[0]);
   const auto current = load_report(args.positionals()[1]);
@@ -242,10 +245,10 @@ int main(int argc, char** argv) {
                   overhead * 100.0);
     }
   }
-  if (const auto scaling = args.get("scaling"); scaling.has_value()) {
+  if (scaling) {
     print_scaling_section(*scaling);  // advisory: never affects exit code
   }
-  if (const auto csv = args.get("csv"); csv.has_value()) {
+  if (csv) {
     if (!beepkit::support::write_text_file(*csv, report.to_csv())) {
       std::fprintf(stderr, "throughput_compare: cannot write %s\n",
                    csv->c_str());
